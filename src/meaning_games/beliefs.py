@@ -15,17 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal, Mapping
+from typing import Iterator, Literal
 
 from .errors import InvalidGameError
-from .equilibrium import OffPathRule, _off_path_row
-from .game import (
-    MeaningGame,
-    Prior,
-    ReceiverStrategy,
-    SenderStrategy,
-    _utility_unchecked,
-)
+from .equilibrium import OffPathRule, _Compiled
+from .game import MeaningGame, Prior, ReceiverStrategy, SenderStrategy
 
 
 MAX_DEPTH = 1000
@@ -61,57 +55,6 @@ def _level0_receiver_map(g: MeaningGame) -> dict[str, str]:
         options = g.contents_for(m)
         if options:
             out[m] = min(options, key=lambda c: (-g.prior[c], c))
-    return out
-
-
-def _sender_best_response(
-    g: MeaningGame, receiver_rows: Mapping[str, Mapping[str, float]]
-) -> dict[str, str]:
-    """Per content, the best grammatical message against the receiver,
-    ties broken by lexicographic message id."""
-    out = {}
-    for c in g.content_ids():
-        values = {}
-        for m in g.messages_for(c):
-            row = receiver_rows.get(m, {})
-            values[m] = sum(
-                p * _utility_unchecked(g, c, m, a, "S")
-                for a, p in row.items()
-                if p > 0.0 and (a, m) in g.edges
-            )
-        out[c] = min(values, key=lambda m: (-values[m], m))
-    return out
-
-
-def _receiver_best_response(
-    g: MeaningGame, sender_rows: Mapping[str, Mapping[str, float]], rule: OffPathRule
-) -> dict[str, str]:
-    """Per message, the best content against Bayes beliefs about the sender,
-    ties broken by lexicographic content id."""
-    out = {}
-    for m in g.message_ids():
-        options = g.contents_for(m)
-        if not options:
-            continue
-        joint = {
-            c: g.prior[c] * sender_rows.get(c, {}).get(m, 0.0)
-            for c in g.content_ids()
-            if (c, m) in g.edges
-        }
-        denom = sum(joint.values())
-        if denom > 0.0:
-            belief = {c: w / denom for c, w in joint.items()}
-        else:
-            belief = _off_path_row(g, m, rule)
-        values = {
-            a: sum(
-                p * _utility_unchecked(g, c, m, a, "R")
-                for c, p in belief.items()
-                if p > 0.0
-            )
-            for a in options
-        }
-        out[m] = min(values, key=lambda a: (-values[a], a))
     return out
 
 
@@ -156,18 +99,17 @@ def level_k_strategies(
     ) != set(g_receiver.message_ids()):
         raise InvalidGameError("the two game estimates use different alphabets")
 
-    smap = _level0_sender_map(g_sender)
-    rmap = _level0_receiver_map(g_receiver)
-    levels = [(smap, rmap)]
+    sender_core = _Compiled(g_sender, cfg.off_path)
+    receiver_core = _Compiled(g_receiver, cfg.off_path)
+    levels = [(_level0_sender_map(g_sender), _level0_receiver_map(g_receiver))]
     for _ in range(cfg.depth):
         prev_s, prev_r = levels[-1]
-        next_s = _sender_best_response(
-            g_sender, {m: {c: 1.0} for m, c in prev_r.items()}
+        levels.append(
+            (
+                sender_core.sender_best_reply(prev_r),
+                receiver_core.receiver_best_reply(prev_s),
+            )
         )
-        next_r = _receiver_best_response(
-            g_receiver, {c: {m: 1.0} for c, m in prev_s.items()}, cfg.off_path
-        )
-        levels.append((next_s, next_r))
 
     encodings = [
         (tuple(sorted(s.items())), tuple(sorted(r.items()))) for s, r in levels
@@ -226,7 +168,11 @@ class _Implied:
     receiver: dict[str, str]
 
 
-def _evaluate_node(node: BeliefNode) -> _Implied:
+def _evaluate_node(node: BeliefNode, memo: dict[int, _Implied]) -> _Implied:
+    """The strategies a node implies; ``memo`` holds the nodes already
+    evaluated in this check, keyed by identity, so each is solved once."""
+    if id(node) in memo:
+        return memo[id(node)]
     g = node.game_estimate
     for child in node.children:
         if child.role == node.role:
@@ -235,15 +181,15 @@ def _evaluate_node(node: BeliefNode) -> _Implied:
     if node.role == "S":
         receiver = _level0_receiver_map(g)
         for child in node.children:
-            receiver[child.anchor] = _evaluate_node(child).receiver[child.anchor]
-        sender = _sender_best_response(g, {m: {c: 1.0} for m, c in receiver.items()})
-        return _Implied(sender, receiver)
-
-    sender = _level0_sender_map(g)
-    for child in node.children:
-        sender[child.anchor] = _evaluate_node(child).sender[child.anchor]
-    receiver = _receiver_best_response(g, {c: {m: 1.0} for c, m in sender.items()}, "prior")
-    return _Implied(sender, receiver)
+            receiver[child.anchor] = _evaluate_node(child, memo).receiver[child.anchor]
+        implied = _Implied(_Compiled(g, "prior").sender_best_reply(receiver), receiver)
+    else:
+        sender = _level0_sender_map(g)
+        for child in node.children:
+            sender[child.anchor] = _evaluate_node(child, memo).sender[child.anchor]
+        implied = _Implied(sender, _Compiled(g, "prior").receiver_best_reply(sender))
+    memo[id(node)] = implied
+    return implied
 
 
 def consistency_check(tree: BeliefNode, observed_message: str) -> list[BeliefNode]:
@@ -260,8 +206,9 @@ def consistency_check(tree: BeliefNode, observed_message: str) -> list[BeliefNod
             f"observed message {observed_message!r} is outside the root alphabet"
         )
     refuted = []
+    memo: dict[int, _Implied] = {}
     for node in tree.walk():
-        implied = _evaluate_node(node).sender
+        implied = _evaluate_node(node, memo).sender
         if observed_message not in implied.values():
             refuted.append(node)
     return refuted

@@ -292,12 +292,11 @@ class DiscourseState:
 
     history: tuple[Utterance, ...]
     salience: Mapping[str, float]
-    cf_cache: tuple[tuple[str, ...], ...] = ()
 
     @staticmethod
     def initial(entity_ids: Sequence[str], config: ResolutionConfig) -> "DiscourseState":
         return DiscourseState(
-            (), {e: config.initial_salience for e in entity_ids}, ()
+            (), {e: config.initial_salience for e in entity_ids}
         )
 
     def last_utterance(self) -> Utterance | None:
@@ -314,9 +313,7 @@ def ingest(state: DiscourseState, u: Utterance, config: ResolutionConfig) -> Dis
         if r.entity not in salience:
             raise InvalidGameError(f"unknown entity {r.entity!r} in utterance {u.index}")
         salience[r.entity] += config.rank_weight ** r.function.rank
-    return DiscourseState(
-        state.history + (u,), salience, state.cf_cache + (cf(u),)
-    )
+    return DiscourseState(state.history + (u,), salience)
 
 
 def accommodate(

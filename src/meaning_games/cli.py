@@ -26,7 +26,7 @@ from .equilibrium import (
     pareto_filter,
     predict,
 )
-from .errors import MeaningGameError
+from .errors import MeaningGameError, ScenarioError
 from .game import validate_game
 from .scenario_io import (
     RunReport,
@@ -60,7 +60,10 @@ def _effective_cap(args, spec_cap: int | None) -> int | None:
         return args.cap
     env = os.environ.get(ENV_CAP)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ScenarioError(f"{ENV_CAP}={env!r} is not an integer") from None
     return spec_cap
 
 

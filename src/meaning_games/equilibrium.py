@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
@@ -23,8 +24,6 @@ from .game import (
     _utility_unchecked,
     _validate_receiver,
     _validate_sender,
-    expected_utility,
-    success_probability,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -133,6 +132,164 @@ def _off_path_row(g: MeaningGame, mid: str, rule: OffPathRule) -> dict[str, floa
     return {c: w / total for c, w in mass.items()}
 
 
+class _Compiled:
+    """Integer-indexed view of a game, built once per solver call.
+
+    Contents and messages are numbered in game order.  ``sender_u[c][m][a]``
+    and ``receiver_u[c][m][a]`` hold each player's utility of intending
+    ``c``, sending ``m`` and reading ``a``; entries for ungrammatical pairs
+    are None.  Each table is filled on first use, so a caller that needs
+    one player's payoffs does not pay for the other's.  Sums run in content
+    order with the same zero-mass guards as the string-keyed definitions in
+    ``game``, so values are bit-identical.
+    """
+
+    def __init__(self, g: MeaningGame, rule: OffPathRule):
+        self.game = g
+        self.rule = rule
+        self.cids = cids = g.content_ids()
+        self.mids = mids = g.message_ids()
+        self.c_index = {c: i for i, c in enumerate(cids)}
+        self.prior = [g.prior[c] for c in cids]
+        self.support = [c for c, p in enumerate(self.prior) if p > 0.0]
+        edges = g.edges
+        self.messages_of = [
+            [m for m, mid in enumerate(mids) if (cid, mid) in edges] for cid in cids
+        ]
+        self.contents_of = [
+            [c for c, cid in enumerate(cids) if (cid, mid) in edges] for mid in mids
+        ]
+        self.used = [m for m, options in enumerate(self.contents_of) if options]
+
+        self.off_path = {}
+        for m in self.used:
+            row = _off_path_row(g, mids[m], rule)
+            self.off_path[m] = [(self.c_index[c], p) for c, p in row.items()]
+
+    # -- beliefs -----------------------------------------------------------
+
+    def bayes_row(self, m: int, preimage: tuple[int, ...]) -> list[tuple[int, float]]:
+        """Posterior at ``m`` of a pure sender whose positive-prior contents
+        sending ``m`` are ``preimage``; the off-path row when it is empty."""
+        if not preimage:
+            return self.off_path[m]
+        prior = self.prior
+        denom = sum(prior[c] for c in preimage)
+        return [(c, prior[c] / denom) for c in preimage]
+
+    # -- payoffs -----------------------------------------------------------
+
+    @cached_property
+    def sender_u(self) -> list[list[list[float | None] | None]]:
+        return self._utility_table("S")
+
+    @cached_property
+    def receiver_u(self) -> list[list[list[float | None] | None]]:
+        return self._utility_table("R")
+
+    def _utility_table(self, player: Player) -> list[list[list[float | None] | None]]:
+        g, cids, mids = self.game, self.cids, self.mids
+        table = [[None] * len(mids) for _ in cids]
+        for c, cid in enumerate(cids):
+            for m in self.messages_of[c]:
+                row = [None] * len(cids)
+                for a in self.contents_of[m]:
+                    row[a] = _utility_unchecked(g, cid, mids[m], cids[a], player)
+                table[c][m] = row
+        return table
+
+    def sender_value(self, c: int, m: int, receiver_row: Mapping[str, float]) -> float:
+        u = self.sender_u[c][m]
+        return sum(p * u[self.c_index[a]] for a, p in receiver_row.items() if p > 0.0)
+
+    def receiver_values(self, m: int, row: list[tuple[int, float]]) -> list[float]:
+        """Belief-expected receiver utility of each grammatical reading of
+        ``m``, in content order, against a belief row of (content, mass)."""
+        u = self.receiver_u
+        return [
+            sum(p * u[c][m][a] for c, p in row if p > 0.0) for a in self.contents_of[m]
+        ]
+
+    def receiver_best_set(self, m: int, row: list[tuple[int, float]]) -> set[int]:
+        values = self.receiver_values(m, row)
+        best = max(values)
+        return {a for a, v in zip(self.contents_of[m], values) if v >= best - TOL}
+
+    def pair_row(self, row: Mapping[str, float]) -> list[tuple[int, float]]:
+        return [(self.c_index[c], p) for c, p in row.items() if p > 0.0]
+
+    # -- best replies with lexicographic tie-breaking ----------------------
+
+    def sender_best_reply(self, rmap: Mapping[str, str]) -> dict[str, str]:
+        """Per content, the best grammatical message against a pure receiver,
+        ties broken by lexicographic message id.  A message the receiver
+        leaves unmapped, or maps to a reading that is unknown or ungrammatical
+        here, is worth 0."""
+        out = {}
+        for c, cid in enumerate(self.cids):
+            values = {}
+            for m in self.messages_of[c]:
+                a = self.c_index.get(rmap.get(self.mids[m]))
+                u = None if a is None else self.sender_u[c][m][a]
+                values[m] = 0.0 if u is None else u
+            best = min(values, key=lambda m: (-values[m], self.mids[m]))
+            out[cid] = self.mids[best]
+        return out
+
+    def receiver_best_reply(self, smap: Mapping[str, str]) -> dict[str, str]:
+        """Per message, the best reading against Bayes beliefs about a pure
+        sender, ties broken by lexicographic content id."""
+        sent = [smap.get(cid) for cid in self.cids]
+        out = {}
+        for m in self.used:
+            mid = self.mids[m]
+            preimage = tuple(
+                c for c in self.contents_of[m] if self.prior[c] > 0.0 and sent[c] == mid
+            )
+            values = self.receiver_values(m, self.bayes_row(m, preimage))
+            best = min(
+                range(len(values)),
+                key=lambda i: (-values[i], self.cids[self.contents_of[m][i]]),
+            )
+            out[mid] = self.cids[self.contents_of[m][best]]
+        return out
+
+    # -- reports -----------------------------------------------------------
+
+    def report(
+        self, s: tuple[int, ...], r: tuple[int, ...], beliefs: BeliefSystem | None
+    ) -> EquilibriumReport:
+        """The report of the pure profile sending ``s[c]`` for content ``c``
+        and reading ``r[i]`` for the ``i``-th message with an edge."""
+        cids, mids = self.cids, self.mids
+        smap = {cid: mids[m] for cid, m in zip(cids, s)}
+        sender = SenderStrategy.deterministic(smap)
+        receiver = ReceiverStrategy(
+            {mids[m]: {cids[a]: 1.0} for m, a in zip(self.used, r)}
+        )
+        if beliefs is None:
+            beliefs = posterior_beliefs(self.game, sender, self.rule)
+        reading = dict(zip(self.used, r))
+        success = eu_sender = eu_receiver = 0.0
+        for c, p in enumerate(self.prior):
+            if p == 0.0:
+                continue
+            m = s[c]
+            a = reading[m]
+            if a == c:
+                success += p
+            eu_sender += p * self.sender_u[c][m][a]
+            eu_receiver += p * self.receiver_u[c][m][a]
+        return EquilibriumReport(
+            profile=Profile(sender, receiver),
+            beliefs=beliefs,
+            success=success,
+            eu_sender=eu_sender,
+            eu_receiver=eu_receiver,
+            kind=classify_profile(self.game, smap),
+        )
+
+
 def posterior_beliefs(
     g: MeaningGame, s: SenderStrategy, rule: OffPathRule = "prior"
 ) -> BeliefSystem:
@@ -154,22 +311,6 @@ def posterior_beliefs(
     return BeliefSystem(posterior, rule, frozenset(on_path))
 
 
-def _sender_value(g: MeaningGame, cid: str, mid: str, receiver_row) -> float:
-    return sum(
-        p * _utility_unchecked(g, cid, mid, aid, "S")
-        for aid, p in receiver_row.items()
-        if p > 0.0
-    )
-
-
-def _receiver_value(g: MeaningGame, mid: str, aid: str, belief_row) -> float:
-    return sum(
-        p * _utility_unchecked(g, cid, mid, aid, "R")
-        for cid, p in belief_row.items()
-        if p > 0.0
-    )
-
-
 def is_equilibrium(
     g: MeaningGame,
     p: Profile,
@@ -188,12 +329,16 @@ def is_equilibrium(
     """
     _validate_sender(g, p.sender)
     _validate_receiver(g, p.receiver)
+    core = _Compiled(g, rule)
     if beliefs is None:
         beliefs = posterior_beliefs(g, p.sender, rule)
+    cids, mids = core.cids, core.mids
 
-    for cid in g.content_ids():
-        options = g.messages_for(cid)
-        values = {m: _sender_value(g, cid, m, p.receiver.row(m)) for m in options}
+    for c, cid in enumerate(cids):
+        values = {
+            mids[m]: core.sender_value(c, m, p.receiver.row(mids[m]))
+            for m in core.messages_of[c]
+        }
         best_m = max(values, key=values.get)
         best = values[best_m]
         for mid, prob in p.sender.row(cid).items():
@@ -202,12 +347,12 @@ def is_equilibrium(
                     False, Deviation("S", cid, mid, best_m, best - values[mid])
                 )
 
-    for mid in g.message_ids():
-        options = g.contents_for(mid)
-        if not options:
-            continue
-        belief_row = beliefs.at(mid)
-        values = {a: _receiver_value(g, mid, a, belief_row) for a in options}
+    for m in core.used:
+        mid = mids[m]
+        row = core.pair_row(beliefs.at(mid))
+        values = dict(
+            zip([cids[a] for a in core.contents_of[m]], core.receiver_values(m, row))
+        )
         best_a = max(values, key=values.get)
         best = values[best_a]
         for aid, prob in p.receiver.row(mid).items():
@@ -259,7 +404,11 @@ def enumerate_pure_equilibria(
     content indices per message.  The search is organized receiver-major:
     against a fixed pure receiver, the sender's best-reply set per content
     is computed once, and only senders drawn from those sets can pass, so
-    the full profile product is never materialized.
+    the full profile product is never materialized.  The game is compiled
+    into integer-indexed utility tables once per call; on the Bayes path the
+    receiver's best replies at a message are memoized for the call by the
+    message's preimage under the pure sender.  Reports are built only for
+    the profiles that pass.
 
     ``belief_builder`` optionally replaces the Bayes-plus-rule belief
     system; flattened compound games use this to keep off-path beliefs
@@ -276,64 +425,63 @@ def enumerate_pure_equilibria(
             "observed message, or raise the cap"
         )
 
-    cids = g.content_ids()
-    mids = [m for m in g.message_ids() if g.contents_for(m)]
-    c_index = {c: i for i, c in enumerate(g.content_ids())}
-    m_index = {m: i for i, m in enumerate(g.message_ids())}
+    core = _Compiled(g, rule)
+    cids, mids, used = core.cids, core.mids, core.used
+    sender_u, support = core.sender_u, core.support
 
-    found: list[tuple[tuple, EquilibriumReport]] = []
-    receiver_choices = [g.contents_for(m) for m in mids]
-    for r_combo in itertools.product(*receiver_choices):
-        rmap = dict(zip(mids, r_combo))
-        if receiver_filter is not None and not receiver_filter(rmap):
+    found: list[tuple[tuple, BeliefSystem | None]] = []
+    best_replies: dict[tuple[int, tuple[int, ...]], set[int]] = {}
+    reading = [None] * len(mids)
+    for r_combo in itertools.product(*[core.contents_of[m] for m in used]):
+        if receiver_filter is not None and not receiver_filter(
+            {mids[m]: cids[a] for m, a in zip(used, r_combo)}
+        ):
             continue
-        receiver_rows = {m: {rmap[m]: 1.0} for m in mids}
+        for m, a in zip(used, r_combo):
+            reading[m] = a
 
         best_sets = []
-        for c in cids:
-            options = g.messages_for(c)
-            values = {m: _utility_unchecked(g, c, m, rmap[m], "S") for m in options}
-            best = max(values.values())
-            best_sets.append([m for m in options if values[m] >= best - TOL])
+        for c, options in enumerate(core.messages_of):
+            values = [sender_u[c][m][reading[m]] for m in options]
+            best = max(values)
+            best_sets.append([m for m, v in zip(options, values) if v >= best - TOL])
 
         for s_combo in itertools.product(*best_sets):
-            smap = dict(zip(cids, s_combo))
-            if sender_filter is not None and not sender_filter(smap):
+            if sender_filter is not None and not sender_filter(
+                {cid: mids[m] for cid, m in zip(cids, s_combo)}
+            ):
                 continue
-            sender = SenderStrategy.deterministic(smap)
+            beliefs = None
             if belief_builder is not None:
-                beliefs = belief_builder(sender)
+                beliefs = belief_builder(
+                    SenderStrategy.deterministic(
+                        {cid: mids[m] for cid, m in zip(cids, s_combo)}
+                    )
+                )
+                ok = all(
+                    reading[m]
+                    in core.receiver_best_set(m, core.pair_row(beliefs.at(mids[m])))
+                    for m in used
+                )
             else:
-                beliefs = posterior_beliefs(g, sender, rule)
-
-            ok = True
-            for m in mids:
-                options = g.contents_for(m)
-                belief_row = beliefs.at(m)
-                values = {a: _receiver_value(g, m, a, belief_row) for a in options}
-                if values[rmap[m]] < max(values.values()) - TOL:
-                    ok = False
-                    break
-            if not ok:
-                continue
-
-            profile = Profile(sender, ReceiverStrategy(receiver_rows))
-            report = EquilibriumReport(
-                profile=profile,
-                beliefs=beliefs,
-                success=success_probability(g, profile.sender, profile.receiver),
-                eu_sender=expected_utility(g, profile.sender, profile.receiver, "S"),
-                eu_receiver=expected_utility(g, profile.sender, profile.receiver, "R"),
-                kind=classify_profile(g, smap),
-            )
-            encoding = (
-                tuple(m_index[smap[c]] for c in cids),
-                tuple(c_index[rmap[m]] for m in mids),
-            )
-            found.append((encoding, report))
+                # A pure sender's posterior at m depends only on which
+                # positive-prior contents send m, so best replies are shared
+                # by every sender with the same preimage.
+                ok = True
+                for m in used:
+                    key = (m, tuple(c for c in support if s_combo[c] == m))
+                    best_set = best_replies.get(key)
+                    if best_set is None:
+                        best_set = core.receiver_best_set(m, core.bayes_row(*key))
+                        best_replies[key] = best_set
+                    if reading[m] not in best_set:
+                        ok = False
+                        break
+            if ok:
+                found.append(((s_combo, r_combo), beliefs))
 
     found.sort(key=lambda item: item[0])
-    return [report for _, report in found]
+    return [core.report(s, r, beliefs) for (s, r), beliefs in found]
 
 
 def _dominates(a: EquilibriumReport, b: EquilibriumReport) -> bool:

@@ -13,6 +13,7 @@ and is excluded from the game graph entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Mapping
 
@@ -199,9 +200,10 @@ def validate_game(g: MeaningGame) -> ValidationReport:
     """Check every structural invariant; report errors and warnings.
 
     Errors make the game unusable (duplicate ids, malformed prior, negative
-    costs, contents with no grammatical message).  A success bonus that does
-    not strictly dominate the cost spread is legal but only gets a warning,
-    since full-success equilibria are then not guaranteed to exist.
+    or non-finite numbers, contents with no grammatical message).  A success
+    bonus that does not strictly dominate the cost spread is legal but only
+    gets a warning, since full-success equilibria are then not guaranteed to
+    exist.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -218,6 +220,8 @@ def validate_game(g: MeaningGame) -> ValidationReport:
         errors.append("prior domain does not match the content set")
     if any(w < 0 for w in g.prior.weights.values()):
         errors.append("prior contains a negative weight")
+    if not all(math.isfinite(w) for w in g.prior.weights.values()):
+        errors.append("prior contains a non-finite weight")
     total = sum(g.prior.weights.values())
     if abs(total - 1.0) > TOL:
         errors.append(f"prior weights sum to {total!r}, not 1")
@@ -228,13 +232,19 @@ def validate_game(g: MeaningGame) -> ValidationReport:
             errors.append(f"sender cost entry ({c!r}, {m!r}) uses unknown ids")
         if cost < 0:
             errors.append(f"sender cost for ({c!r}, {m!r}) is negative")
+        if not math.isfinite(cost):
+            errors.append(f"sender cost for ({c!r}, {m!r}) is not finite")
     for (m, c), cost in u.receiver_cost.items():
         if m not in mset or c not in cset:
             errors.append(f"receiver cost entry ({m!r}, {c!r}) uses unknown ids")
         if cost < 0:
             errors.append(f"receiver cost for ({m!r}, {c!r}) is negative")
+        if not math.isfinite(cost):
+            errors.append(f"receiver cost for ({m!r}, {c!r}) is not finite")
     if u.sender_bonus < 0 or u.receiver_bonus < 0:
         errors.append("success bonus is negative")
+    if not (math.isfinite(u.sender_bonus) and math.isfinite(u.receiver_bonus)):
+        errors.append("success bonus is not finite")
     if u.shared and abs(u.sender_bonus - u.receiver_bonus) > TOL:
         errors.append("shared utility model with unequal player bonuses")
     if u.bonus_overlap is not None:
@@ -243,6 +253,8 @@ def validate_game(g: MeaningGame) -> ValidationReport:
                 errors.append(f"bonus overlap entry ({a!r}, {b!r}) uses unknown ids")
             if bs < 0 or br < 0:
                 errors.append(f"bonus overlap for ({a!r}, {b!r}) is negative")
+            if not (math.isfinite(bs) and math.isfinite(br)):
+                errors.append(f"bonus overlap for ({a!r}, {b!r}) is not finite")
 
     derived = frozenset(
         pair for pair in u.sender_cost if (pair[1], pair[0]) in u.receiver_cost

@@ -36,6 +36,7 @@ from .centering import (
 )
 from .errors import ScenarioError
 from .game import (
+    TOL,
     Content,
     MeaningGame,
     Message,
@@ -43,8 +44,6 @@ from .game import (
     UtilityModel,
     validate_game,
 )
-
-TOL = 1e-9
 
 
 def _read_json(path: str | Path) -> dict:

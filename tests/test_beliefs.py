@@ -187,6 +187,20 @@ class TestConsistencyCheck:
         node = BeliefNode("S", "fred", mute)
         assert consistency_check(node, "the man") == [node]
 
+    def test_reading_unknown_to_the_parent_estimate_is_worth_nothing(self):
+        # The child receiver's estimate has a third referent and reads "he"
+        # as it; the parent sender cannot be understood by that reading, so
+        # "he" is worth 0 to it, which still beats the misread "the man" for
+        # max.  The refutations equal those of the string-keyed solver.
+        g = pronoun_game()
+        wider = message_cost_game(
+            {"fred": 0.1, "max": 0.1, "bob": 0.8}, {"he": 0.0, "the man": 0.5}, 1.0
+        )
+        child = BeliefNode("R", "he", wider)
+        root = BeliefNode("S", "fred", g, (child,))
+        assert consistency_check(root, "he") == []
+        assert consistency_check(root, "the man") == [child]
+
     def test_observed_message_outside_alphabet_rejected(self):
         tree = common_knowledge_tree(pronoun_game())
         with pytest.raises(InvalidGameError):

@@ -181,7 +181,6 @@ class TestSalience:
         state = ingest(state, scolding_utterance(), config)
         assert state.salience["fred"] == pytest.approx(1.5)
         assert state.salience["max"] == pytest.approx(1.25)
-        assert state.cf_cache == (("fred", "max"),)
 
     def test_priors_follow_salience(self):
         config = ResolutionConfig()

@@ -1,0 +1,190 @@
+"""The compiled solver core against the brute-force oracle and pinned output.
+
+The equilibrium search runs on an integer-indexed view of the game and
+memoizes receiver best replies by message preimage; these tests check it
+report for report against ``oracle.py`` (maps, expected utilities, success,
+beliefs, Pareto survivors) and pin the CLI's machine output for the bundled
+files.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import oracle
+from generators import message_cost_game, random_compound, random_valid_game
+from meaning_games import Prior, enumerate_pure_equilibria, flatten, pareto_filter
+from meaning_games.cli import main
+from meaning_games.compound import predict_compound
+
+BUNDLED = Path(__file__).parent.parent / "src" / "meaning_games" / "data"
+PINNED = Path(__file__).parent / "data"
+RULES = ("prior", "uniform")
+
+
+def with_ties(rng: random.Random, g):
+    """Costs on a quarter grid, some nudged by far less than the tolerance."""
+
+    def snap(v):
+        return round(v * 4) / 4 + (1e-12 if rng.random() < 0.3 else 0.0)
+
+    u = g.utility
+    return replace(
+        g,
+        utility=replace(
+            u,
+            sender_cost={k: snap(v) for k, v in u.sender_cost.items()},
+            receiver_cost={k: snap(v) for k, v in u.receiver_cost.items()},
+            sender_bonus=1.0,
+            receiver_bonus=1.0,
+        ),
+    )
+
+
+def with_zero_prior(rng: random.Random, g):
+    """Some contents (never all) carry no prior mass."""
+    cids = g.content_ids()
+    weights = dict(g.prior.weights)
+    for c in rng.sample(cids, rng.randint(1, len(cids) - 1)):
+        weights[c] = 0.0
+    return replace(g, prior=Prior.normalized(weights))
+
+
+def maps(report):
+    return (
+        tuple(sorted(report.sender_map().items())),
+        tuple(sorted(report.receiver_map().items())),
+    )
+
+
+def assert_reports_match_oracle(g, reports, rule):
+    found = [maps(r) for r in reports]
+    assert len(set(found)) == len(found)
+    assert set(found) == oracle.enumerate_equilibria_fast(g, rule)
+
+    m_index = {m: i for i, m in enumerate(g.message_ids())}
+    c_index = {c: i for i, c in enumerate(g.content_ids())}
+    encodings = [
+        (
+            tuple(m_index[r.sender_map()[c]] for c in g.content_ids()),
+            tuple(c_index[a] for a in r.receiver_map().values()),
+        )
+        for r in reports
+    ]
+    assert encodings == sorted(encodings)
+
+    for r in reports:
+        smap, rmap = r.sender_map(), r.receiver_map()
+        assert r.eu_sender == oracle.expected_utility(g, smap, rmap, "S")
+        assert r.eu_receiver == oracle.expected_utility(g, smap, rmap, "R")
+        assert r.success == pytest.approx(
+            sum(g.prior[c] for c in g.content_ids() if rmap[smap[c]] == c), abs=1e-12
+        )
+        expected = oracle._beliefs(g, smap, rule)
+        for m, row in expected.items():
+            if m in r.beliefs.on_path:
+                row = {c: p for c, p in row.items() if p > 0.0}
+            assert r.beliefs.at(m) == row
+
+    survivors = {tuple(sorted(r.sender_map().items())) for r in pareto_filter(reports)}
+    assert survivors == oracle.pareto_maps(g, set(found))
+
+
+def generated_games(count: int, seed: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        g = random_valid_game(rng, max_size=4 if i % 5 == 0 else 3)
+        if i % 3 == 1:
+            g = with_ties(rng, g)
+        elif i % 3 == 2 and len(g.contents) > 1:
+            g = with_zero_prior(rng, g)
+        yield g
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reports_match_oracle_on_generated_games(rule):
+    for g in generated_games(60, 2024):
+        assert_reports_match_oracle(g, enumerate_pure_equilibria(g, rule), rule)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_zero_mass_preimage_falls_back_to_the_off_path_row(rule):
+    # Only the zero-prior content may send "n", so n's posterior is the
+    # off-path row for every sender, whichever content pools on "m".
+    g = message_cost_game({"a": 0.7, "b": 0.3, "z": 0.0}, {"m": 0.1, "n": 0.3}, 1.0)
+    reports = enumerate_pure_equilibria(g, rule)
+    assert reports
+    assert_reports_match_oracle(g, reports, rule)
+    silent = [r for r in reports if "n" not in r.beliefs.on_path]
+    assert silent
+    for r in silent:
+        assert r.beliefs.at("n") == oracle._beliefs(g, r.sender_map(), rule)["n"]
+
+
+def product_profiles(flat, pairs):
+    """Per-constituent profile maps, carried onto the flattened game's ids."""
+    by_message = {mtup: mid for mid, mtup in flat.message_components.items()}
+    by_content = {ctup: cid for cid, ctup in flat.content_components.items()}
+    out = set()
+    for (s1, r1), (s2, r2) in pairs:
+        s1, r1, s2, r2 = dict(s1), dict(r1), dict(s2), dict(r2)
+        smap = {
+            cid: by_message[(s1[c1], s2[c2])]
+            for cid, (c1, c2) in flat.content_components.items()
+        }
+        rmap = {
+            mid: by_content[(r1[m1], r2[m2])]
+            for mid, (m1, m2) in flat.message_components.items()
+        }
+        out.add((tuple(sorted(smap.items())), tuple(sorted(rmap.items()))))
+    return out
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_predict_compound_matches_oracle(rule):
+    rng = random.Random(77)
+    for i in range(12):
+        cg = random_compound(rng, constrained=bool(i % 2))
+        flat = flatten(cg)
+        result = predict_compound(cg, rule)
+        g = flat.game
+        for r in result.prediction.reports:
+            smap, rmap = r.sender_map(), r.receiver_map()
+            assert r.eu_sender == oracle.expected_utility(g, smap, rmap, "S")
+            assert r.eu_receiver == oracle.expected_utility(g, smap, rmap, "R")
+        if i % 2:
+            continue
+        equilibria = product_profiles(
+            flat,
+            [
+                (a, b)
+                for a in oracle.enumerate_equilibria(cg.constituents[0].game, rule)
+                for b in oracle.enumerate_equilibria(cg.constituents[1].game, rule)
+            ],
+        )
+        survivors = {
+            tuple(sorted(r.sender_map().items())) for r in result.prediction.reports
+        }
+        assert survivors == oracle.pareto_maps(g, equilibria)
+
+
+PINNED_RUNS = [
+    ("predict", "--game", "fig2.game"),
+    ("solve", "--game", "fig2.game"),
+    ("levelk", "--game", "fig2.game"),
+    ("resolve", "--discourse", "he_man.disc"),
+    ("resolve", "--discourse", "man_him.disc"),
+    ("compound", "--discourse", "man_him.disc"),
+]
+
+
+@pytest.mark.parametrize("command,flag,name", PINNED_RUNS)
+def test_machine_output_is_pinned(command, flag, name, capsys, monkeypatch):
+    monkeypatch.chdir(BUNDLED)
+    main([command, flag, name, "--format", "machine"])
+    pinned = PINNED / f"{command}.{name.split('.')[0]}.json"
+    assert capsys.readouterr().out == pinned.read_text()

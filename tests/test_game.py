@@ -73,6 +73,53 @@ class TestValidateGame:
         )
         assert any("negative" in e for e in report.errors)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "prior",
+            "sender_cost",
+            "receiver_cost",
+            "sender_bonus",
+            "receiver_bonus",
+            "bonus_overlap",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, field, value):
+        g = pronoun_game()
+        u = g.utility
+        changed = {
+            "prior": lambda: replace(g, prior=Prior({"fred": value, "max": 0.4})),
+            "sender_cost": lambda: replace(
+                g,
+                utility=replace(u, sender_cost={**u.sender_cost, ("fred", "he"): value}),
+            ),
+            "receiver_cost": lambda: replace(
+                g,
+                utility=replace(
+                    u, receiver_cost={**u.receiver_cost, ("he", "fred"): value}
+                ),
+            ),
+            "sender_bonus": lambda: replace(
+                g, utility=replace(u, shared=False, sender_bonus=value)
+            ),
+            "receiver_bonus": lambda: replace(
+                g, utility=replace(u, shared=False, receiver_bonus=value)
+            ),
+            "bonus_overlap": lambda: replace(
+                g,
+                utility=replace(
+                    u,
+                    bonus_overlap={
+                        ("fred", "fred"): (1.0, value),
+                        ("max", "max"): (1.0, 1.0),
+                    },
+                ),
+            ),
+        }[field]()
+        report = validate_game(changed)
+        assert any("finite" in e for e in report.errors)
+
     def test_weak_bonus_warns(self):
         report = validate_game(pronoun_game(bonus=0.3))
         assert report.ok

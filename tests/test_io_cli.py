@@ -345,6 +345,25 @@ class TestCli:
         assert main(["solve", "--game", str(fig2_path)]) == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_malformed_cap_environment_variable(self, fig2_path, capsys, monkeypatch):
+        monkeypatch.setenv("MEANING_GAMES_CAP", "abc")
+        assert main(["solve", "--game", str(fig2_path)]) == 1
+        assert "error: MEANING_GAMES_CAP='abc'" in capsys.readouterr().err
+
+    def test_non_finite_prior_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.game"
+        path.write_text(
+            json.dumps(
+                {
+                    "contents": [{"id": "a"}, {"id": "b"}],
+                    "messages": [{"id": "m", "cost": 0.1}, {"id": "n", "cost": 0.2}],
+                    "prior": {"a": float("nan"), "b": 0.5},
+                }
+            )
+        )
+        assert main(["predict", "--game", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_validate_discourse(self, he_man_path, capsys):
         code = main(
             ["validate", "--discourse", str(he_man_path), "--format", "machine"]
