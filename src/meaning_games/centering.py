@@ -437,6 +437,13 @@ class CompoundSection:
     parallelism_penalty: float | None = None  # None defers to the config
 
 
+def _parallelism_penalty(section: CompoundSection, config: ResolutionConfig) -> float:
+    """The section's own penalty, or the config's when it sets none."""
+    if section.parallelism_penalty is None:
+        return config.parallelism_penalty
+    return section.parallelism_penalty
+
+
 def _alignment_penalty(
     prop: PropositionOption,
     slots: Mapping[str, ReferenceSlot],
@@ -470,11 +477,7 @@ def build_sentence_game(
     the scenario (extralinguistic context enters here, as prior weights or
     cost overrides on particular pairs).
     """
-    penalty = (
-        config.parallelism_penalty
-        if section.parallelism_penalty is None
-        else section.parallelism_penalty
-    )
+    penalty = _parallelism_penalty(section, config)
     contents = tuple(Content(p.id, p.label) for p in section.propositions)
     messages = tuple(Message(s.id, s.label) for s in section.sentences)
     prior = Prior.normalized({p.id: p.prior for p in section.propositions})
@@ -535,30 +538,29 @@ def build_compound(
     slots: Mapping[str, ReferenceSlot],
     entities: Mapping[str, Entity],
     config: ResolutionConfig,
-    observed_only: bool = True,
 ) -> CompoundGame:
     """Assemble the compound game for an utterance's sentence frame.
 
     The first constituent is the sentence game, followed by one NP game per
-    slot.  The compatibility relation contains one joint message per
-    declared sentence (its frame plus the slot expressions it embeds);
-    joint contents pair each proposition with the slot referents it
-    assigns.  With ``observed_only`` the joint messages are restricted to
-    the sentence actually uttered, mirroring how an observed message biases
-    the game toward the pairs consistent with it; the sentence constituent
-    then contains only that message, while the NP constituents keep their
-    full expression sets, so local optimality is judged against the
-    expressions the speaker could have chosen slot by slot.
+    slot.  The joint messages are the declared sentences that embed the
+    expressions actually uttered (the frame plus one expression per slot),
+    mirroring how an observed message biases the game toward the pairs
+    consistent with it; the sentence constituent contains only those
+    sentences, while the NP constituents keep their full expression sets,
+    so local optimality is judged against the expressions the speaker
+    could have chosen slot by slot.  Joint contents pair each proposition
+    with the slot referents it assigns.
     """
-    section_for_game = section
-    if observed_only:
-        observed_parts = {s: slots[s].surface for s in section.slot_ids}
-        kept = tuple(
-            s for s in section.sentences if dict(s.parts) == observed_parts
+    observed = {slot_id: slots[slot_id].surface for slot_id in section.slot_ids}
+    kept = tuple(s for s in section.sentences if dict(s.parts) == observed)
+    if not kept:
+        raise ScenarioError(
+            f"utterance {section.utterance_index}: no declared sentence matches "
+            f"the observed expressions {observed}"
         )
-        if kept:
-            section_for_game = replace(section, sentences=kept)
-    sentence_game = build_sentence_game(state, section_for_game, slots, config)
+    sentence_game = build_sentence_game(
+        state, replace(section, sentences=kept), slots, config
+    )
     constituents = [ConstituentGame(Slot("sentence", "sentence frame"), sentence_game)]
     for slot_id in section.slot_ids:
         slot = slots[slot_id]
@@ -569,30 +571,16 @@ def build_compound(
             )
         )
 
-    observed = {slot_id: slots[slot_id].surface for slot_id in section.slot_ids}
-    feasible = set()
-    for sentence in section.sentences:
-        if observed_only and dict(sentence.parts) != observed:
-            continue
-        feasible.add(
-            (sentence.id,) + tuple(sentence.parts[s] for s in section.slot_ids)
-        )
-    if not feasible:
-        raise ScenarioError(
-            f"utterance {section.utterance_index}: no declared sentence matches "
-            f"the observed expressions {observed}"
-        )
-
-    joint_contents = set()
-    for prop in section.propositions:
-        joint_contents.add(
-            (prop.id,) + tuple(prop.assigns[s] for s in section.slot_ids)
-        )
-
+    feasible = frozenset(
+        (sentence.id,) + tuple(sentence.parts[s] for s in section.slot_ids)
+        for sentence in kept
+    )
+    joint_contents = frozenset(
+        (prop.id,) + tuple(prop.assigns[s] for s in section.slot_ids)
+        for prop in section.propositions
+    )
     return CompoundGame(
-        tuple(constituents),
-        CompatibilityRelation(frozenset(feasible)),
-        frozenset(joint_contents),
+        tuple(constituents), CompatibilityRelation(feasible), joint_contents
     )
 
 
@@ -663,7 +651,7 @@ def _resolve_by_compound(
     entities: Mapping[str, Entity],
     config: ResolutionConfig,
 ) -> tuple[list[SlotResolution], CompoundPrediction]:
-    cg = build_compound(state, section, slots, entities, config, observed_only=True)
+    cg = build_compound(state, section, slots, entities, config)
     cp_result = predict_compound(cg, config.off_path, config.cap)
     prediction = cp_result.prediction
 
@@ -678,12 +666,7 @@ def _resolve_by_compound(
         raise ScenarioError("observed joint message missing from the flattened game")
 
     readings = sorted(prediction.readings_of(observed_mid))
-    penalty = (
-        config.parallelism_penalty
-        if section.parallelism_penalty is None
-        else section.parallelism_penalty
-    )
-    via = f"compound(parallelism={penalty})"
+    via = f"compound(parallelism={_parallelism_penalty(section, config)})"
     out = []
     if len(readings) == 1:
         ctup = cp_result.flattened.content_components[readings[0]]
@@ -742,7 +725,6 @@ def resolve(discourse: Discourse, config: ResolutionConfig | None = None) -> Res
     state = DiscourseState.initial(sorted(discourse.entities), config)
     resolved_utterances: list[Utterance] = []
     resolutions: list[SlotResolution] = []
-    all_resolved = True
 
     for u in discourse.utterances:
         slot_results: dict[str, SlotResolution] = {}
@@ -787,7 +769,6 @@ def resolve(discourse: Discourse, config: ResolutionConfig | None = None) -> Res
                 committed.append(realization)
             else:
                 items.append(item)
-                all_resolved = False
         ru = Utterance(u.index, tuple(items))
         resolved_utterances.append(ru)
 

@@ -189,7 +189,7 @@ def _cmd_compound(args) -> tuple[dict, int]:
         if section is not None:
             slots = {s.id: s for s in u.slots()}
             cg = centering.build_compound(
-                state, section, slots, discourse.entities, config, observed_only=True
+                state, section, slots, discourse.entities, config
             )
             result = centering.predict_compound(cg, config.off_path, config.cap)
             sections[str(u.index)] = {

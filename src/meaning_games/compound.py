@@ -3,8 +3,9 @@
 A compound expression (a sentence with its noun phrases) is one turn of
 several overlapping constituent games.  Players pick a combination of
 strategies and maximize the expected utility of the whole compound, so the
-compound is solved by flattening it into a single meaning game over joint
-contents and joint messages and reusing the equilibrium machinery.
+compound is flattened into a single meaning game over joint contents and
+joint messages, whose equilibria are searched over per-slot strategy
+combinations only.
 
 Flattening preserves utilities exactly: a joint turn earns each
 constituent's success bonus independently (a turn can succeed in one slot
@@ -29,9 +30,9 @@ from .equilibrium import (
     OffPathRule,
     Prediction,
     Profile,
-    ProfileFilter,
+    _compile,
     _off_path_row,
-    enumerate_pure_equilibria,
+    _prediction,
     predict,
 )
 from .game import (
@@ -312,59 +313,75 @@ def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
     return build
 
 
-def product_sender_filter(flat: Flattened) -> "ProfileFilter":
-    """Admit only sender maps that are combinations of per-slot strategies.
+def _per_slot_products(keys, options, parts):
+    """The tuples of ``itertools.product(*options)``, in its order, that
+    combine one strategy per slot.
 
-    A player of a compound game picks one strategy per constituent, so the
-    message component chosen for slot k may depend only on the content
-    component of slot k.  Joint maps that cross-code one slot's content
-    into another slot's message are not available strategies, even though
-    they would be best replies in the flattened game.
+    A player of a compound game picks one strategy per constituent, so a
+    joint map that cross-codes one slot's content into another slot's
+    message is not available, even where it would be a best reply in the
+    flattened game.  Position ``i`` has slot components ``keys[i]``; a
+    choice ``x`` has slot components ``parts[x]``.  A tuple is kept when,
+    for every slot ``k``, positions that agree on ``keys[i][k]`` agree on
+    ``parts[x][k]``: the induced slot-``k`` map is a function.  A prefix is
+    dropped as soon as one slot's induced map stops being a function.
     """
-    n = len(flat.compound.constituents)
 
-    def admit(smap) -> bool:
-        for k in range(n):
-            induced: dict[str, str] = {}
-            for cid, mid in smap.items():
-                ck = flat.content_components[cid][k]
-                mk = flat.message_components[mid][k]
-                if induced.setdefault(ck, mk) != mk:
-                    return False
-        return True
+    def extend(i, induced, chosen):
+        if i == len(keys):
+            yield chosen
+            return
+        for x in options[i]:
+            pairs = tuple(zip(keys[i], parts[x]))
+            if all(seen.get(k, v) == v for seen, (k, v) in zip(induced, pairs)):
+                grown = [{**seen, k: v} for seen, (k, v) in zip(induced, pairs)]
+                yield from extend(i + 1, grown, chosen + (x,))
 
-    return admit
+    return extend(0, [{}] * len(keys[0]) if keys else [], ())
 
 
-def product_receiver_filter(flat: Flattened) -> "ProfileFilter":
+def _factors(mapping: Mapping[str, str], key_parts, value_parts) -> bool:
+    """Whether a string-keyed joint map combines one map per slot."""
+    keys = [key_parts[k] for k in mapping]
+    parts = [value_parts[v] for v in mapping.values()]
+    singletons = [[i] for i in range(len(parts))]
+    return next(_per_slot_products(keys, singletons, parts), None) is not None
+
+
+def product_sender_filter(flat: Flattened):
+    """Admit only sender maps that factor through content components."""
+    return lambda smap: _factors(
+        smap, flat.content_components, flat.message_components
+    )
+
+
+def product_receiver_filter(flat: Flattened):
     """Admit only receiver maps that factor through message components."""
-    n = len(flat.compound.constituents)
-
-    def admit(rmap) -> bool:
-        for k in range(n):
-            induced: dict[str, str] = {}
-            for mid, cid in rmap.items():
-                mk = flat.message_components[mid][k]
-                ak = flat.content_components[cid][k]
-                if induced.setdefault(mk, ak) != ak:
-                    return False
-        return True
-
-    return admit
+    return lambda rmap: _factors(
+        rmap, flat.message_components, flat.content_components
+    )
 
 
 def enumerate_compound(
     flat: Flattened, rule: OffPathRule = "prior", cap: int | None = None
 ):
     """Pure equilibria of the flattened game over per-constituent strategy
-    combinations, with component-consistent beliefs."""
-    return enumerate_pure_equilibria(
-        flat.game,
-        rule,
-        cap,
-        belief_builder=composite_belief_builder(flat, rule),
-        sender_filter=product_sender_filter(flat),
-        receiver_filter=product_receiver_filter(flat),
+    combinations, with component-consistent beliefs.
+
+    Only receiver and sender maps that combine one strategy per slot are
+    visited; the flat game's profile count still has to pass the cap."""
+    core = _compile(flat.game, rule, cap)
+    c_parts = [flat.content_components[cid] for cid in core.cids]
+    m_parts = [flat.message_components[mid] for mid in core.mids]
+    receivers = _per_slot_products(
+        [m_parts[m] for m in core.used],
+        [core.contents_of[m] for m in core.used],
+        c_parts,
+    )
+    return core.search(
+        receivers,
+        lambda *best_sets: _per_slot_products(c_parts, best_sets, m_parts),
+        composite_belief_builder(flat, rule),
     )
 
 
@@ -442,14 +459,7 @@ def predict_compound(
     playing the compound as a whole.
     """
     flat = flatten(cg, cap)
-    prediction = predict(
-        flat.game,
-        rule,
-        cap,
-        belief_builder=composite_belief_builder(flat, rule),
-        sender_filter=product_sender_filter(flat),
-        receiver_filter=product_receiver_filter(flat),
-    )
+    prediction = _prediction(flat.game, enumerate_compound(flat, rule, cap))
 
     own = [predict(c.game, rule, cap) for c in cg.constituents]
     all_annotations = []

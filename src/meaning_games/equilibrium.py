@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
 from .game import (
@@ -254,6 +254,71 @@ class _Compiled:
             out[mid] = self.cids[self.contents_of[m][best]]
         return out
 
+    # -- search ------------------------------------------------------------
+
+    def search(
+        self,
+        receivers: Iterable[tuple[int, ...]],
+        senders: Callable[..., Iterable[tuple[int, ...]]],
+        belief_builder: BeliefBuilder | None = None,
+    ) -> list[EquilibriumReport]:
+        """Reports of the pure profiles that are mutual best responses.
+
+        ``receivers`` yields the receiver maps to visit, each the tuple of
+        readings of the messages in ``used``.  Against each one,
+        ``senders(*best_sets)`` yields the sender maps to check, drawn from
+        the per-content sets of best-reply messages.  Receivers are checked
+        against ``belief_builder``'s beliefs about each sender when given,
+        and against Bayes beliefs with the off-path rule otherwise.
+        """
+        mids, used, support = self.mids, self.used, self.support
+        sender_u = self.sender_u
+        found: list[tuple[tuple, BeliefSystem | None]] = []
+        best_replies: dict[tuple[int, tuple[int, ...]], set[int]] = {}
+        reading = [None] * len(mids)
+        for r_combo in receivers:
+            for m, a in zip(used, r_combo):
+                reading[m] = a
+
+            best_sets = []
+            for c, options in enumerate(self.messages_of):
+                values = [sender_u[c][m][reading[m]] for m in options]
+                best = max(values)
+                best_sets.append([m for m, v in zip(options, values) if v >= best - TOL])
+
+            for s_combo in senders(*best_sets):
+                beliefs = None
+                if belief_builder is not None:
+                    beliefs = belief_builder(
+                        SenderStrategy.deterministic(
+                            {cid: mids[m] for cid, m in zip(self.cids, s_combo)}
+                        )
+                    )
+                    ok = all(
+                        reading[m]
+                        in self.receiver_best_set(m, self.pair_row(beliefs.at(mids[m])))
+                        for m in used
+                    )
+                else:
+                    # A pure sender's posterior at m depends only on which
+                    # positive-prior contents send m, so best replies are
+                    # shared by every sender with the same preimage.
+                    ok = True
+                    for m in used:
+                        key = (m, tuple(c for c in support if s_combo[c] == m))
+                        best_set = best_replies.get(key)
+                        if best_set is None:
+                            best_set = self.receiver_best_set(m, self.bayes_row(*key))
+                            best_replies[key] = best_set
+                        if reading[m] not in best_set:
+                            ok = False
+                            break
+                if ok:
+                    found.append(((s_combo, r_combo), beliefs))
+
+        found.sort(key=lambda item: item[0])
+        return [self.report(s, r, beliefs) for (s, r), beliefs in found]
+
     # -- reports -----------------------------------------------------------
 
     def report(
@@ -386,16 +451,21 @@ def profile_count(g: MeaningGame) -> int:
     return count
 
 
-ProfileFilter = Callable[[Mapping[str, str]], bool]
+def _compile(g: MeaningGame, rule: OffPathRule, cap: int | None) -> _Compiled:
+    """The compiled view of ``g``, once its profile count passes the cap."""
+    cap = DEFAULT_CAP if cap is None else cap
+    total = profile_count(g)
+    if total > cap:
+        raise SizeLimitError(
+            f"{total} deterministic profiles exceed the cap of {cap}; "
+            "flatten compound structure coarsely, prune the game by the "
+            "observed message, or raise the cap"
+        )
+    return _Compiled(g, rule)
 
 
 def enumerate_pure_equilibria(
-    g: MeaningGame,
-    rule: OffPathRule = "prior",
-    cap: int | None = None,
-    belief_builder: BeliefBuilder | None = None,
-    sender_filter: ProfileFilter | None = None,
-    receiver_filter: ProfileFilter | None = None,
+    g: MeaningGame, rule: OffPathRule = "prior", cap: int | None = None
 ) -> list[EquilibriumReport]:
     """All deterministic profiles that are mutual best responses.
 
@@ -405,83 +475,16 @@ def enumerate_pure_equilibria(
     against a fixed pure receiver, the sender's best-reply set per content
     is computed once, and only senders drawn from those sets can pass, so
     the full profile product is never materialized.  The game is compiled
-    into integer-indexed utility tables once per call; on the Bayes path the
-    receiver's best replies at a message are memoized for the call by the
-    message's preimage under the pure sender.  Reports are built only for
-    the profiles that pass.
-
-    ``belief_builder`` optionally replaces the Bayes-plus-rule belief
-    system; flattened compound games use this to keep off-path beliefs
-    consistent with their constituents.  The filters restrict which
-    deterministic assignment maps count as admissible strategies (compound
-    games admit only combinations of per-constituent strategies).
+    into integer-indexed utility tables once per call; the receiver's best
+    replies at a message are memoized for the call by the message's
+    preimage under the pure sender.  Reports are built only for the
+    profiles that pass.
     """
-    cap = DEFAULT_CAP if cap is None else cap
-    total = profile_count(g)
-    if total > cap:
-        raise SizeLimitError(
-            f"{total} deterministic profiles exceed the cap of {cap}; "
-            "flatten compound structure coarsely, prune the game by the "
-            "observed message, or raise the cap"
-        )
-
-    core = _Compiled(g, rule)
-    cids, mids, used = core.cids, core.mids, core.used
-    sender_u, support = core.sender_u, core.support
-
-    found: list[tuple[tuple, BeliefSystem | None]] = []
-    best_replies: dict[tuple[int, tuple[int, ...]], set[int]] = {}
-    reading = [None] * len(mids)
-    for r_combo in itertools.product(*[core.contents_of[m] for m in used]):
-        if receiver_filter is not None and not receiver_filter(
-            {mids[m]: cids[a] for m, a in zip(used, r_combo)}
-        ):
-            continue
-        for m, a in zip(used, r_combo):
-            reading[m] = a
-
-        best_sets = []
-        for c, options in enumerate(core.messages_of):
-            values = [sender_u[c][m][reading[m]] for m in options]
-            best = max(values)
-            best_sets.append([m for m, v in zip(options, values) if v >= best - TOL])
-
-        for s_combo in itertools.product(*best_sets):
-            if sender_filter is not None and not sender_filter(
-                {cid: mids[m] for cid, m in zip(cids, s_combo)}
-            ):
-                continue
-            beliefs = None
-            if belief_builder is not None:
-                beliefs = belief_builder(
-                    SenderStrategy.deterministic(
-                        {cid: mids[m] for cid, m in zip(cids, s_combo)}
-                    )
-                )
-                ok = all(
-                    reading[m]
-                    in core.receiver_best_set(m, core.pair_row(beliefs.at(mids[m])))
-                    for m in used
-                )
-            else:
-                # A pure sender's posterior at m depends only on which
-                # positive-prior contents send m, so best replies are shared
-                # by every sender with the same preimage.
-                ok = True
-                for m in used:
-                    key = (m, tuple(c for c in support if s_combo[c] == m))
-                    best_set = best_replies.get(key)
-                    if best_set is None:
-                        best_set = core.receiver_best_set(m, core.bayes_row(*key))
-                        best_replies[key] = best_set
-                    if reading[m] not in best_set:
-                        ok = False
-                        break
-            if ok:
-                found.append(((s_combo, r_combo), beliefs))
-
-    found.sort(key=lambda item: item[0])
-    return [core.report(s, r, beliefs) for (s, r), beliefs in found]
+    core = _compile(g, rule, cap)
+    return core.search(
+        itertools.product(*[core.contents_of[m] for m in core.used]),
+        itertools.product,
+    )
 
 
 def _dominates(a: EquilibriumReport, b: EquilibriumReport) -> bool:
@@ -536,26 +539,22 @@ class Prediction:
         return {r.receiver_map()[mid] for r in self.reports if mid in r.receiver_map()}
 
 
-def predict(
-    g: MeaningGame,
-    rule: OffPathRule = "prior",
-    cap: int | None = None,
-    belief_builder: BeliefBuilder | None = None,
-    sender_filter: ProfileFilter | None = None,
-    receiver_filter: ProfileFilter | None = None,
-) -> Prediction:
-    """Pareto filter over the enumerated equilibria; ties all returned."""
-    reports = pareto_filter(
-        enumerate_pure_equilibria(
-            g, rule, cap, belief_builder, sender_filter, receiver_filter
-        )
-    )
+def _prediction(g: MeaningGame, reports: list[EquilibriumReport]) -> Prediction:
+    """Pareto filter over the equilibria of ``g``; ties all returned."""
+    reports = pareto_filter(reports)
     maps = []
     for r in reports:
         interp = _on_path_interpretation(g, r)
         if interp not in maps:
             maps.append(interp)
     return Prediction(tuple(reports), len(maps) > 1, tuple(maps))
+
+
+def predict(
+    g: MeaningGame, rule: OffPathRule = "prior", cap: int | None = None
+) -> Prediction:
+    """Pareto filter over the enumerated equilibria; ties all returned."""
+    return _prediction(g, enumerate_pure_equilibria(g, rule, cap))
 
 
 def _per_message_cost(

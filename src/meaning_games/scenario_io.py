@@ -205,25 +205,26 @@ def _parse_form_costs(data: Mapping, path) -> dict[FormKind, float]:
     return costs
 
 
+_CONFIG_FIELDS = {
+    "initial_salience": float,
+    "rank_weight": float,
+    "cb_bonus": float,
+    "success_bonus": float,
+    "parallelism_penalty": float,
+    "off_path": str,
+    "cap": int,
+}
+
+
 def _parse_config(data: Mapping, path) -> ResolutionConfig:
+    """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
     cfg = data.get("config", {})
-    boosts = {
-        FormKind.PRONOUN: 1.5,
-        FormKind.DEFINITE_NP: 1.1,
-        FormKind.PROPER_NAME: 1.0,
-    }
-    for tag, value in cfg.get("boosts", {}).items():
-        boosts[FormKind.from_tag(str(tag))] = float(value)
-    return ResolutionConfig(
-        initial_salience=float(cfg.get("initial_salience", 1.0)),
-        rank_weight=float(cfg.get("rank_weight", 0.5)),
-        cb_bonus=float(cfg.get("cb_bonus", 0.0)),
-        success_bonus=float(cfg.get("success_bonus", 1.0)),
-        boosts=boosts,
-        parallelism_penalty=float(cfg.get("parallelism_penalty", 0.25)),
-        off_path=str(cfg.get("off_path", "prior")),
-        cap=int(cfg["cap"]) if "cap" in cfg else None,
-    )
+    fields = {k: parse(cfg[k]) for k, parse in _CONFIG_FIELDS.items() if k in cfg}
+    if "boosts" in cfg:
+        fields["boosts"] = dict(ResolutionConfig().boosts)
+        for tag, value in cfg["boosts"].items():
+            fields["boosts"][FormKind.from_tag(str(tag))] = float(value)
+    return ResolutionConfig(**fields)
 
 
 def parse_discourse(data: Mapping, path: str | Path = "<discourse>") -> Discourse:

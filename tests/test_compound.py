@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from meaning_games import (
     Profile,
     SizeLimitError,
     Slot,
+    composite_belief_builder,
     constituent_expected_utility,
     enumerate_compound,
     enumerate_pure_equilibria,
     expected_utility,
     flatten,
+    is_equilibrium,
     predict_compound,
     validate_game,
 )
@@ -181,6 +184,101 @@ class TestProductStructure:
                 flat, [(a, b) for a in eq1 for b in eq2]
             )
             assert composite == expected
+
+
+def factors(mapping, key_parts, value_parts):
+    """Whether a flat map combines one map per slot (written out here, not
+    taken from the library)."""
+    slots = len(next(iter(key_parts.values())))
+    for k in range(slots):
+        induced = {}
+        for key, value in mapping.items():
+            part = value_parts[value][k]
+            if induced.setdefault(key_parts[key][k], part) != part:
+                return False
+    return True
+
+
+def all_maps(options):
+    keys = list(options)
+    for choice in itertools.product(*[options[k] for k in keys]):
+        yield dict(zip(keys, choice))
+
+
+def as_key(smap, rmap):
+    return (tuple(sorted(smap.items())), tuple(sorted(rmap.items())))
+
+
+class TestFactoredSearch:
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_constrained_compounds_match_brute_force(self, rule):
+        rng = random.Random(31)
+        checked = 0
+        while checked < 25:
+            cg = random_compound(rng, constrained=True)
+            try:
+                flat = flatten(cg)
+            except InvalidGameError:
+                continue
+            g = flat.game
+            cc, mc = flat.content_components, flat.message_components
+            senders = [
+                smap
+                for smap in all_maps({c: g.messages_for(c) for c in g.content_ids()})
+                if factors(smap, cc, mc)
+            ]
+            receivers = [
+                rmap
+                for rmap in all_maps(
+                    {m: g.contents_for(m) for m in g.message_ids() if g.contents_for(m)}
+                )
+                if factors(rmap, mc, cc)
+            ]
+            beliefs = composite_belief_builder(flat, rule)
+            expected = set()
+            for smap in senders:
+                for rmap in receivers:
+                    profile = Profile.from_maps(smap, rmap)
+                    if is_equilibrium(g, profile, rule, beliefs(profile.sender)):
+                        expected.add(as_key(smap, rmap))
+            found = {
+                as_key(r.sender_map(), r.receiver_map())
+                for r in enumerate_compound(flat, rule)
+            }
+            assert found == expected
+            checked += 1
+
+    def test_three_slots_with_the_cap_raised(self):
+        rng = random.Random(32)
+        games = [random_constituent(rng, tag, shared=True) for tag in "abc"]
+        cg = CompoundGame(
+            tuple(ConstituentGame(Slot(tag), g) for tag, g in zip("abc", games))
+        )
+        flat = flatten(cg)
+        with pytest.raises(SizeLimitError):
+            enumerate_compound(flat)  # 8**16 flat profiles; the cap is unchanged
+        found = {
+            as_key(r.sender_map(), r.receiver_map())
+            for r in enumerate_compound(flat, cap=10**18)
+        }
+        message_of = {tup: mid for mid, tup in flat.message_components.items()}
+        content_of = {tup: cid for cid, tup in flat.content_components.items()}
+        expected = set()
+        for per_slot in itertools.product(
+            *[oracle.enumerate_equilibria(g, "prior") for g in games]
+        ):
+            smaps = [dict(s) for s, _ in per_slot]
+            rmaps = [dict(r) for _, r in per_slot]
+            smap = {
+                cid: message_of[tuple(s[c] for s, c in zip(smaps, ctup))]
+                for cid, ctup in flat.content_components.items()
+            }
+            rmap = {
+                mid: content_of[tuple(r[m] for r, m in zip(rmaps, mtup))]
+                for mid, mtup in flat.message_components.items()
+            }
+            expected.add(as_key(smap, rmap))
+        assert found and found == expected
 
 
 class TestPredictCompound:
