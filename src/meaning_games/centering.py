@@ -19,6 +19,7 @@ context.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -84,6 +85,10 @@ class ExpressionForm:
     lightness_cost: float
 
     def __post_init__(self):
+        if not math.isfinite(self.lightness_cost):
+            raise ScenarioError(
+                f"lightness cost must be finite, got {self.lightness_cost}"
+            )
         if self.lightness_cost < 0:
             raise InvalidGameError("lightness cost must be nonnegative")
 
@@ -91,6 +96,11 @@ class ExpressionForm:
 def validate_form_costs(costs: Mapping[FormKind, float]) -> None:
     """Pronouns must be strictly lighter than definites, definites at most
     as heavy as proper names."""
+    for kind, cost in costs.items():
+        if not math.isfinite(cost):
+            raise ScenarioError(
+                f"form cost of {kind.value} must be finite, got {cost}"
+            )
     pro = costs[FormKind.PRONOUN]
     dnp = costs[FormKind.DEFINITE_NP]
     prn = costs[FormKind.PROPER_NAME]
@@ -270,6 +280,17 @@ class ResolutionConfig:
     cap: int | None = None
 
     def __post_init__(self):
+        numbers = {
+            "initial salience": self.initial_salience,
+            "rank weight": self.rank_weight,
+            "cb bonus": self.cb_bonus,
+            "success bonus": self.success_bonus,
+            "parallelism penalty": self.parallelism_penalty,
+        }
+        numbers.update((f"{kind.value} boost", b) for kind, b in self.boosts.items())
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value}")
         if self.initial_salience <= 0:
             raise ScenarioError("initial salience must be positive")
         if not (0 < self.rank_weight <= 1):
@@ -284,6 +305,12 @@ class ResolutionConfig:
             raise ScenarioError("accommodation boosts must be positive")
         if self.parallelism_penalty < 0:
             raise ScenarioError("parallelism penalty must be nonnegative")
+        if self.success_bonus < 0:
+            raise ScenarioError("success bonus must be nonnegative")
+        if self.off_path not in ("prior", "uniform"):
+            raise ScenarioError(
+                f"off-path rule must be 'prior' or 'uniform', got {self.off_path!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
@@ -30,7 +31,8 @@ from .equilibrium import (
     OffPathRule,
     Prediction,
     Profile,
-    _compile,
+    _check_size,
+    _Compiled,
     _off_path_row,
     _prediction,
     predict,
@@ -45,6 +47,7 @@ from .game import (
     SenderStrategy,
     UtilityModel,
     _utility_unchecked,
+    _validate_sender,
 )
 
 JOINER = "|"
@@ -201,25 +204,21 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
                     for k in range(n)
                 )
 
-    overlap = {}
-    for cid, ctup in content_components.items():
-        for aid, atup in content_components.items():
-            overlap[(cid, aid)] = (
-                sum(
-                    weights[k] * games[k].utility.sender_bonus
-                    for k in range(n)
-                    if ctup[k] == atup[k]
-                ),
-                sum(
-                    weights[k] * games[k].utility.receiver_bonus
-                    for k in range(n)
-                    if ctup[k] == atup[k]
-                ),
-            )
+    bonuses = [
+        (w * g.utility.sender_bonus, w * g.utility.receiver_bonus)
+        for w, g in zip(weights, games)
+    ]
+    overlap = {
+        (cid, aid): tuple(
+            sum(b[i] for b, x, y in zip(bonuses, ctup, atup) if x == y) for i in (0, 1)
+        )
+        for cid, ctup in content_components.items()
+        for aid, atup in content_components.items()
+    }
 
     utility = UtilityModel(
-        sender_bonus=sum(w * g.utility.sender_bonus for w, g in zip(weights, games)),
-        receiver_bonus=sum(w * g.utility.receiver_bonus for w, g in zip(weights, games)),
+        sender_bonus=sum(b for b, _ in bonuses),
+        receiver_bonus=sum(b for _, b in bonuses),
         sender_cost=sender_cost,
         receiver_cost=receiver_cost,
         shared=shared_flags.pop(),
@@ -234,81 +233,83 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
     return Flattened(flat_game, cg, content_components, message_components)
 
 
-def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
-    """Belief builder whose off-path fallback factors through components.
+class _Composite(_Compiled):
+    """The compiled flat game of a compound, with off-path beliefs that
+    factor through the constituents.
 
-    On-path joint messages get the plain Bayes posterior.  An off-path
-    joint message is judged component by component: components on the path
-    of the induced marginal sender strategy keep their Bayes posterior,
-    the rest fall back to the off-path rule within their constituent.  The
-    product, restricted to feasible joint contents, is the joint belief.
-    With unrelated constituents this makes the composite equilibria factor
-    into the constituents' equilibria, which a flat fallback would break.
+    At a message ``m`` no positive-prior content sends, slot ``k``'s
+    component gets the Bayes posterior of the contents whose message shares
+    ``m``'s slot-``k`` component, or the constituent's off-path row when
+    there are none.  The joint belief is the product over the contents
+    grammatical for ``m``, or the flat off-path row when that has no mass.
     """
-    g = flat.game
-    games = [c.game for c in flat.compound.constituents]
-    n = len(games)
+
+    def __init__(self, flat: Flattened, rule: OffPathRule):
+        super().__init__(flat.game, rule)
+        # Per slot: the constituent's index of each flat content's and each
+        # flat message's component, and the constituent game.
+        self.slots = []
+        for k, constituent in enumerate(flat.compound.constituents):
+            g = constituent.game
+            cids, mids = g.content_ids(), g.message_ids()
+            self.slots.append((
+                [cids.index(flat.content_components[cid][k]) for cid in self.cids],
+                [mids.index(flat.message_components[mid][k]) for mid in self.mids],
+                g,
+            ))
+
+    def off_path_key(self, m: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(c for c in self.support if m_part[s[c]] == m_part[m])
+            for _, m_part, _ in self.slots
+        )
+
+    def off_path_row(self, m: int, key) -> list[tuple[int, float]]:
+        # Slot masses add up in flat content order, totals in constituent
+        # content order, and the joint product runs in slot order.
+        beliefs = []
+        for (c_part, m_part, g), senders in zip(self.slots, key):
+            mass = [0.0] * len(g.contents)
+            for c in senders:
+                mass[c_part[c]] += self.prior[c]
+            total = sum(mass)
+            if total > 0.0:
+                beliefs.append([w / total for w in mass])
+            else:
+                row = _off_path_row(g, g.message_ids()[m_part[m]], self.rule)
+                beliefs.append([row.get(c, 0.0) for c in g.content_ids()])
+        row = [
+            (c, w)
+            for c in self.contents_of[m]
+            if (w := prod(b[part[c]] for (part, _, _), b in zip(self.slots, beliefs)))
+        ]
+        norm = sum(w for _, w in row)
+        return [(c, w / norm) for c, w in row] if norm > 0.0 else self.off_path[m]
+
+
+def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
+    """Belief builder whose off-path fallback factors through components:
+    the rows of ``_Composite``, which the compound search checks receivers
+    against.  It takes pure senders only: an invalid sender raises
+    ``InvalidGameError``, and one that mixes over messages for some content
+    raises ``NotApplicableError``.
+    """
+    core = _Composite(flat, rule)
 
     def build(sender: SenderStrategy) -> BeliefSystem:
-        posterior: dict[str, dict[str, float]] = {}
-        on_path = set()
-
-        marginal_p = [dict() for _ in range(n)]
-        marginal_s = [dict() for _ in range(n)]
-        for cid in g.content_ids():
-            ctup = flat.content_components[cid]
-            p = g.prior[cid]
-            row = sender.row(cid)
-            for k in range(n):
-                marginal_p[k][ctup[k]] = marginal_p[k].get(ctup[k], 0.0) + p
-                for mid, q in row.items():
-                    if q <= 0.0:
-                        continue
-                    mk = flat.message_components[mid][k]
-                    key = (ctup[k], mk)
-                    marginal_s[k][key] = marginal_s[k].get(key, 0.0) + p * q
-
-        for mid in g.message_ids():
-            eligible = g.contents_for(mid)
-            if not eligible:
-                continue
-            joint = {c: g.prior[c] * sender.row(c).get(mid, 0.0) for c in g.content_ids()}
-            denom = sum(joint.values())
-            if denom > 0.0:
-                posterior[mid] = {c: w / denom for c, w in joint.items() if w > 0.0}
-                on_path.add(mid)
-                continue
-
-            mtup = flat.message_components[mid]
-            component_beliefs = []
-            for k in range(n):
-                mk = mtup[k]
-                mass = {
-                    ck: marginal_s[k].get((ck, mk), 0.0)
-                    for ck in games[k].content_ids()
-                }
-                total = sum(mass.values())
-                if total > 0.0:
-                    component_beliefs.append(
-                        {ck: w / total for ck, w in mass.items() if w > 0.0}
-                    )
-                else:
-                    component_beliefs.append(_off_path_row(games[k], mk, rule))
-
-            row = {}
-            for cid in eligible:
-                ctup = flat.content_components[cid]
-                w = 1.0
-                for k in range(n):
-                    w *= component_beliefs[k].get(ctup[k], 0.0)
-                if w > 0.0:
-                    row[cid] = w
-            total = sum(row.values())
-            if total > 0.0:
-                posterior[mid] = {c: w / total for c, w in row.items()}
-            else:
-                posterior[mid] = _off_path_row(g, mid, rule)
-        return BeliefSystem(posterior, rule, frozenset(on_path))
+        _validate_sender(flat.game, sender)
+        sent = [[m for m, q in sender.row(c).items() if q > 0.0] for c in core.cids]
+        if any(len(mids) != 1 for mids in sent):
+            raise NotApplicableError("composite beliefs need a pure sender")
+        s = tuple(core.mids.index(mids[0]) for mids in sent)
+        rows, on_path = {}, set()
+        for m in core.used:
+            preimage = tuple(c for c in core.support if s[c] == m)
+            if preimage:
+                on_path.add(core.mids[m])
+            key = (m, preimage, None if preimage else core.off_path_key(m, s))
+            rows[core.mids[m]] = {core.cids[c]: p for c, p in core.bayes_row(*key)}
+        return BeliefSystem(rows, rule, frozenset(on_path))
 
     return build
 
@@ -370,7 +371,8 @@ def enumerate_compound(
 
     Only receiver and sender maps that combine one strategy per slot are
     visited; the flat game's profile count still has to pass the cap."""
-    core = _compile(flat.game, rule, cap)
+    _check_size(flat.game, cap)
+    core = _Composite(flat, rule)
     c_parts = [flat.content_components[cid] for cid in core.cids]
     m_parts = [flat.message_components[mid] for mid in core.mids]
     receivers = _per_slot_products(

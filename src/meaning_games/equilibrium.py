@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
@@ -168,14 +168,26 @@ class _Compiled:
 
     # -- beliefs -----------------------------------------------------------
 
-    def bayes_row(self, m: int, preimage: tuple[int, ...]) -> list[tuple[int, float]]:
+    def bayes_row(
+        self, m: int, preimage: tuple[int, ...], off_key=None
+    ) -> list[tuple[int, float]]:
         """Posterior at ``m`` of a pure sender whose positive-prior contents
-        sending ``m`` are ``preimage``; the off-path row when it is empty."""
+        sending ``m`` are ``preimage``; when it is empty, the off-path row
+        for ``off_key``."""
         if not preimage:
-            return self.off_path[m]
+            return self.off_path_row(m, off_key)
         prior = self.prior
         denom = sum(prior[c] for c in preimage)
         return [(c, prior[c] / denom) for c in preimage]
+
+    def off_path_key(self, m: int, s: tuple[int, ...]):
+        """The memo key of the belief at ``m`` when no positive-prior
+        content sends ``m`` under the pure sender ``s``.  The flat off-path
+        rule's row depends on ``m`` alone, so the key is None."""
+        return None
+
+    def off_path_row(self, m: int, key) -> list[tuple[int, float]]:
+        return self.off_path[m]
 
     # -- payoffs -----------------------------------------------------------
 
@@ -214,9 +226,6 @@ class _Compiled:
         values = self.receiver_values(m, row)
         best = max(values)
         return {a for a, v in zip(self.contents_of[m], values) if v >= best - TOL}
-
-    def pair_row(self, row: Mapping[str, float]) -> list[tuple[int, float]]:
-        return [(self.c_index[c], p) for c, p in row.items() if p > 0.0]
 
     # -- best replies with lexicographic tie-breaking ----------------------
 
@@ -260,7 +269,7 @@ class _Compiled:
         self,
         receivers: Iterable[tuple[int, ...]],
         senders: Callable[..., Iterable[tuple[int, ...]]],
-        belief_builder: BeliefBuilder | None = None,
+        beliefs: BeliefBuilder | None = None,
     ) -> list[EquilibriumReport]:
         """Reports of the pure profiles that are mutual best responses.
 
@@ -268,14 +277,15 @@ class _Compiled:
         readings of the messages in ``used``.  Against each one,
         ``senders(*best_sets)`` yields the sender maps to check, drawn from
         the per-content sets of best-reply messages.  Receivers are checked
-        against ``belief_builder``'s beliefs about each sender when given,
-        and against Bayes beliefs with the off-path rule otherwise.
+        against the view's Bayes rows and off-path rows.  ``beliefs`` gives
+        the beliefs a passing sender's report carries; by default the
+        public ``posterior_beliefs``.
         """
-        mids, used, support = self.mids, self.used, self.support
-        sender_u = self.sender_u
-        found: list[tuple[tuple, BeliefSystem | None]] = []
-        best_replies: dict[tuple[int, tuple[int, ...]], set[int]] = {}
-        reading = [None] * len(mids)
+        used, support = self.used, self.support
+        sender_u, off_path_key = self.sender_u, self.off_path_key
+        found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        best_replies: dict[tuple, set[int]] = {}
+        reading = [None] * len(self.mids)
         for r_combo in receivers:
             for m, a in zip(used, r_combo):
                 reading[m] = a
@@ -287,42 +297,31 @@ class _Compiled:
                 best_sets.append([m for m, v in zip(options, values) if v >= best - TOL])
 
             for s_combo in senders(*best_sets):
-                beliefs = None
-                if belief_builder is not None:
-                    beliefs = belief_builder(
-                        SenderStrategy.deterministic(
-                            {cid: mids[m] for cid, m in zip(self.cids, s_combo)}
-                        )
-                    )
-                    ok = all(
-                        reading[m]
-                        in self.receiver_best_set(m, self.pair_row(beliefs.at(mids[m])))
-                        for m in used
-                    )
+                # A pure sender's posterior at m depends only on which
+                # positive-prior contents send m, and off the path only on
+                # the view's off-path key, so best replies are shared by
+                # every sender with the same key.
+                for m in used:
+                    preimage = tuple(c for c in support if s_combo[c] == m)
+                    key = (m, preimage, None if preimage else off_path_key(m, s_combo))
+                    best_set = best_replies.get(key)
+                    if best_set is None:
+                        best_set = self.receiver_best_set(m, self.bayes_row(*key))
+                        best_replies[key] = best_set
+                    if reading[m] not in best_set:
+                        break
                 else:
-                    # A pure sender's posterior at m depends only on which
-                    # positive-prior contents send m, so best replies are
-                    # shared by every sender with the same preimage.
-                    ok = True
-                    for m in used:
-                        key = (m, tuple(c for c in support if s_combo[c] == m))
-                        best_set = best_replies.get(key)
-                        if best_set is None:
-                            best_set = self.receiver_best_set(m, self.bayes_row(*key))
-                            best_replies[key] = best_set
-                        if reading[m] not in best_set:
-                            ok = False
-                            break
-                if ok:
-                    found.append(((s_combo, r_combo), beliefs))
+                    found.append((s_combo, r_combo))
 
-        found.sort(key=lambda item: item[0])
-        return [self.report(s, r, beliefs) for (s, r), beliefs in found]
+        found.sort()
+        if beliefs is None:
+            beliefs = partial(posterior_beliefs, self.game, rule=self.rule)
+        return [self.report(s, r, beliefs) for s, r in found]
 
     # -- reports -----------------------------------------------------------
 
     def report(
-        self, s: tuple[int, ...], r: tuple[int, ...], beliefs: BeliefSystem | None
+        self, s: tuple[int, ...], r: tuple[int, ...], beliefs: BeliefBuilder
     ) -> EquilibriumReport:
         """The report of the pure profile sending ``s[c]`` for content ``c``
         and reading ``r[i]`` for the ``i``-th message with an edge."""
@@ -332,8 +331,6 @@ class _Compiled:
         receiver = ReceiverStrategy(
             {mids[m]: {cids[a]: 1.0} for m, a in zip(self.used, r)}
         )
-        if beliefs is None:
-            beliefs = posterior_beliefs(self.game, sender, self.rule)
         reading = dict(zip(self.used, r))
         success = eu_sender = eu_receiver = 0.0
         for c, p in enumerate(self.prior):
@@ -347,7 +344,7 @@ class _Compiled:
             eu_receiver += p * self.receiver_u[c][m][a]
         return EquilibriumReport(
             profile=Profile(sender, receiver),
-            beliefs=beliefs,
+            beliefs=beliefs(sender),
             success=success,
             eu_sender=eu_sender,
             eu_receiver=eu_receiver,
@@ -414,7 +411,7 @@ def is_equilibrium(
 
     for m in core.used:
         mid = mids[m]
-        row = core.pair_row(beliefs.at(mid))
+        row = [(core.c_index[c], q) for c, q in beliefs.at(mid).items() if q > 0.0]
         values = dict(
             zip([cids[a] for a in core.contents_of[m]], core.receiver_values(m, row))
         )
@@ -451,8 +448,8 @@ def profile_count(g: MeaningGame) -> int:
     return count
 
 
-def _compile(g: MeaningGame, rule: OffPathRule, cap: int | None) -> _Compiled:
-    """The compiled view of ``g``, once its profile count passes the cap."""
+def _check_size(g: MeaningGame, cap: int | None) -> None:
+    """Refuse ``g`` when its profile count exceeds the cap."""
     cap = DEFAULT_CAP if cap is None else cap
     total = profile_count(g)
     if total > cap:
@@ -461,7 +458,6 @@ def _compile(g: MeaningGame, rule: OffPathRule, cap: int | None) -> _Compiled:
             "flatten compound structure coarsely, prune the game by the "
             "observed message, or raise the cap"
         )
-    return _Compiled(g, rule)
 
 
 def enumerate_pure_equilibria(
@@ -480,7 +476,8 @@ def enumerate_pure_equilibria(
     preimage under the pure sender.  Reports are built only for the
     profiles that pass.
     """
-    core = _compile(g, rule, cap)
+    _check_size(g, cap)
+    core = _Compiled(g, rule)
     return core.search(
         itertools.product(*[core.contents_of[m] for m in core.used]),
         itertools.product,

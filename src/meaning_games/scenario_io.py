@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -69,6 +70,18 @@ def _require(data: Mapping, key: str, path) -> Any:
     return data[key]
 
 
+@contextmanager
+def _schema_errors(path):
+    """Report a missing key, or a value of the wrong type or form, as a
+    ``ScenarioError`` naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ScenarioError(f"{path}: missing required field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: malformed field: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A parsed game file: the game plus solver defaults it carries."""
@@ -80,6 +93,11 @@ class GameSpec:
 
 
 def parse_game(data: Mapping, path: str | Path = "<game>") -> GameSpec:
+    with _schema_errors(path):
+        return _parse_game(data, path)
+
+
+def _parse_game(data: Mapping, path) -> GameSpec:
     contents = []
     for entry in _require(data, "contents", path):
         contents.append(Content(str(entry["id"]), str(entry.get("label", ""))))
@@ -228,6 +246,11 @@ def _parse_config(data: Mapping, path) -> ResolutionConfig:
 
 
 def parse_discourse(data: Mapping, path: str | Path = "<discourse>") -> Discourse:
+    with _schema_errors(path):
+        return _parse_discourse(data, path)
+
+
+def _parse_discourse(data: Mapping, path) -> Discourse:
     entities: dict[str, Entity] = {}
     for entry in _require(data, "entities", path):
         eid = str(entry["id"])

@@ -31,25 +31,71 @@ def _edge(g, c, m):
     return (c, m) in g.edges
 
 
+def _off_path(g, m, rule):
+    eligible = [c for c in g.content_ids() if _edge(g, c, m)]
+    if rule == "prior":
+        mass = {c: g.prior[c] for c in eligible}
+        total = sum(mass.values())
+        if total > 0:
+            return {c: w / total for c, w in mass.items()}
+    return {c: 1.0 / len(eligible) for c in eligible}
+
+
 def _beliefs(g, smap, rule):
     out = {}
     for m in g.message_ids():
-        eligible = [c for c in g.content_ids() if _edge(g, c, m)]
-        if not eligible:
+        if not any(_edge(g, c, m) for c in g.content_ids()):
             continue
         joint = {c: g.prior[c] for c in g.content_ids() if smap[c] == m}
         denom = sum(joint.values())
         if denom > 0:
             out[m] = {c: w / denom for c, w in joint.items()}
-        elif rule == "uniform":
-            out[m] = {c: 1.0 / len(eligible) for c in eligible}
         else:
-            mass = {c: g.prior[c] for c in eligible}
+            out[m] = _off_path(g, m, rule)
+    return out
+
+
+def composite_beliefs(flat, smap, rule="prior"):
+    """Component-consistent beliefs about a pure sender of a flattened
+    compound, per message with an edge.
+
+    A message some positive-prior joint content sends gets the Bayes
+    posterior.  At any other message m, each slot k is judged alone: the
+    joint contents whose message shares m's slot-k component give the
+    slot-k contents a Bayes posterior, and with no mass there the
+    constituent's own off-path rule applies.  The joint belief is the
+    product over the joint contents grammatical for m, normalized; with no
+    mass at all, the flat game's off-path rule applies.
+    """
+    g = flat.game
+    games = [c.game for c in flat.compound.constituents]
+    parts_c, parts_m = flat.content_components, flat.message_components
+    out = _beliefs(g, smap, rule)
+    for m in out:
+        if any(smap[c] == m and g.prior[c] > 0 for c in g.content_ids()):
+            continue
+        factors = []
+        for k, sub in enumerate(games):
+            mass = {}
+            for c in g.content_ids():
+                if parts_m[smap[c]][k] == parts_m[m][k]:
+                    ck = parts_c[c][k]
+                    mass[ck] = mass.get(ck, 0.0) + g.prior[c]
             total = sum(mass.values())
             if total > 0:
-                out[m] = {c: w / total for c, w in mass.items()}
+                factors.append({ck: w / total for ck, w in mass.items()})
             else:
-                out[m] = {c: 1.0 / len(eligible) for c in eligible}
+                factors.append(_off_path(sub, parts_m[m][k], rule))
+        row = {}
+        for c in g.content_ids():
+            if _edge(g, c, m):
+                w = 1.0
+                for k, factor in enumerate(factors):
+                    w *= factor.get(parts_c[c][k], 0.0)
+                row[c] = w
+        total = sum(row.values())
+        if total > 0:
+            out[m] = {c: w / total for c, w in row.items()}
     return out
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from meaning_games import (
     Realization,
     ReferenceSlot,
     ResolutionConfig,
+    ScenarioError,
     Utterance,
     accommodate,
     build_np_game,
@@ -26,6 +29,7 @@ from meaning_games import (
     salience_priors,
     validate_game,
 )
+from meaning_games.centering import DEFAULT_FORM_COSTS, validate_form_costs
 from generators import random_strict_discourse
 
 PRONOUN = ExpressionForm(FormKind.PRONOUN, 0.0)
@@ -482,3 +486,44 @@ class TestResolveUnit:
             assert r.entity is None
             assert set(r.alternatives) == {"fred", "max"}
             assert r.via.startswith("compound")
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "initial_salience",
+            "rank_weight",
+            "cb_bonus",
+            "success_bonus",
+            "parallelism_penalty",
+            "pronoun_boost",
+            "definite_np_boost",
+            "proper_name_boost",
+            "pronoun_cost",
+            "definite_np_cost",
+            "proper_name_cost",
+            "lightness_cost",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, field, value):
+        kind = field.rsplit("_", 1)[0]
+        with pytest.raises(ScenarioError, match="finite"):
+            if field.endswith("_boost"):
+                config = ResolutionConfig()
+                ResolutionConfig(boosts={**config.boosts, FormKind(kind): value})
+            elif field == "lightness_cost":
+                ExpressionForm(FormKind.PRONOUN, value)
+            elif field.endswith("_cost"):
+                validate_form_costs({**DEFAULT_FORM_COSTS, FormKind(kind): value})
+            else:
+                replace(ResolutionConfig(), **{field: value})
+
+    def test_negative_success_bonus_rejected(self):
+        with pytest.raises(ScenarioError, match="success bonus"):
+            ResolutionConfig(success_bonus=-1.0)
+
+    def test_unknown_off_path_rule_rejected(self):
+        with pytest.raises(ScenarioError, match="off-path"):
+            ResolutionConfig(off_path="nearest")

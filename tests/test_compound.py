@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,9 @@ from meaning_games import (
     ConstituentGame,
     InvalidGameError,
     NotApplicableError,
+    Prior,
     Profile,
+    SenderStrategy,
     SizeLimitError,
     Slot,
     composite_belief_builder,
@@ -279,6 +282,71 @@ class TestFactoredSearch:
             }
             expected.add(as_key(smap, rmap))
         assert found and found == expected
+
+
+def with_zero_prior(cg):
+    """The compound with all the first constituent's prior on its first
+    content, so half the joint contents have zero prior."""
+    first = cg.constituents[0]
+    ids = first.game.content_ids()
+    game = replace(first.game, prior=Prior({ids[0]: 1.0, ids[1]: 0.0}))
+    return replace(cg, constituents=(replace(first, game=game),) + cg.constituents[1:])
+
+
+def nonzero(beliefs):
+    return {m: {c: p for c, p in row.items() if p > 0.0} for m, row in beliefs.items()}
+
+
+class TestCompositeBeliefs:
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_builder_matches_the_oracle_on_every_factoring_sender(self, rule):
+        rng = random.Random(41)
+        checked = zero_prior = 0
+        while checked < 40:
+            cg = random_compound(rng, constrained=checked % 2 == 1)
+            if checked % 5 == 0:
+                cg = with_zero_prior(cg)
+            try:
+                flat = flatten(cg)
+            except InvalidGameError:
+                continue
+            g = flat.game
+            cc, mc = flat.content_components, flat.message_components
+            zero_prior += any(g.prior[c] == 0.0 for c in g.content_ids())
+            build = composite_belief_builder(flat, rule)
+            for smap in all_maps({c: g.messages_for(c) for c in g.content_ids()}):
+                if not factors(smap, cc, mc):
+                    continue
+                ours = build(SenderStrategy.deterministic(smap)).posterior
+                theirs = oracle.composite_beliefs(flat, smap, rule)
+                assert nonzero(ours).keys() == theirs.keys()
+                for m, row in nonzero(theirs).items():
+                    assert nonzero(ours)[m] == pytest.approx(row, abs=1e-12)
+            checked += 1
+        assert zero_prior
+
+    def test_mixed_sender_is_not_applicable(self):
+        flat = flatten(random_compound(random.Random(42), constrained=False))
+        g = flat.game
+        rows = {c: {g.messages_for(c)[0]: 1.0} for c in g.content_ids()}
+        first = g.content_ids()[0]
+        rows[first] = {m: 1.0 / len(g.messages_for(first)) for m in g.messages_for(first)}
+        with pytest.raises(NotApplicableError):
+            composite_belief_builder(flat)(SenderStrategy(rows))
+
+    def test_mass_on_an_ungrammatical_message_is_invalid(self):
+        cg = random_compound(random.Random(43), constrained=False)
+        first = cg.constituents[0]
+        c0, m0 = first.game.content_ids()[0], first.game.message_ids()[0]
+        game = replace(first.game, edges=first.game.edges - {(c0, m0)})
+        cg = replace(cg, constituents=(replace(first, game=game),) + cg.constituents[1:])
+        flat = flatten(cg)
+        g = flat.game
+        smap = {c: g.messages_for(c)[0] for c in g.content_ids()}
+        bad = next(c for c in g.content_ids() if flat.content_components[c][0] == c0)
+        smap[bad] = next(m for m in g.message_ids() if flat.message_components[m][0] == m0)
+        with pytest.raises(InvalidGameError):
+            composite_belief_builder(flat)(SenderStrategy.deterministic(smap))
 
 
 class TestPredictCompound:

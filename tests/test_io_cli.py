@@ -219,6 +219,21 @@ class TestLoadDiscourse:
             load_discourse(path)
 
 
+GAME_SCHEMA_ERRORS = {
+    "content_without_id": lambda d: d["contents"][0].pop("id"),
+    "contents_not_a_list": lambda d: d.update(contents=5),
+    "prior_as_a_list": lambda d: d.update(prior=[0.6, 0.4]),
+    "non_numeric_cost": lambda d: d["messages"][0].update(cost="abc"),
+}
+
+BAD_DISCOURSES = {
+    "entity_without_id": lambda d: d["entities"][0].pop("id"),
+    "negative_success_bonus": lambda d: d["config"].update(success_bonus=-1),
+    "nan_cb_bonus": lambda d: d["config"].update(cb_bonus=float("nan")),
+    "inf_form_cost": lambda d: d["form_costs"].update(proper_name=float("inf")),
+}
+
+
 class TestCli:
     def test_predict_bundled_game(self, fig2_path, capsys):
         code = main(["predict", "--game", str(fig2_path)])
@@ -363,6 +378,28 @@ class TestCli:
         )
         assert main(["predict", "--game", str(path)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(GAME_SCHEMA_ERRORS))
+    def test_schema_error_exit_code(self, fig2_path, tmp_path, capsys, case):
+        data = json.loads(fig2_path.read_text())
+        GAME_SCHEMA_ERRORS[case](data)
+        path = tmp_path / f"{case}.game"
+        path.write_text(json.dumps(data))
+        assert main(["predict", "--game", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_DISCOURSES))
+    def test_bad_discourse_exit_code(self, he_man_path, tmp_path, capsys, case):
+        data = json.loads(he_man_path.read_text())
+        BAD_DISCOURSES[case](data)
+        path = tmp_path / f"{case}.disc"
+        path.write_text(json.dumps(data))
+        assert main(["resolve", "--discourse", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_validate_discourse(self, he_man_path, capsys):
         code = main(
