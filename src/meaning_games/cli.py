@@ -23,7 +23,6 @@ from .equilibrium import (
     enumerate_pure_equilibria,
     explain_two_by_two,
     is_equilibrium,
-    pareto_filter,
     predict,
 )
 from .errors import MeaningGameError, ScenarioError
@@ -110,7 +109,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 def _cmd_pareto(args) -> tuple[dict, int]:
     spec, rule, cap = _game_inputs(args)
-    reports = pareto_filter(enumerate_pure_equilibria(spec.game, rule, cap))
+    reports = predict(spec.game, rule, cap).reports
     return {
         "off_path": rule,
         "equilibria": [_report_dict(r) for r in reports],

@@ -284,7 +284,9 @@ class _Composite(_Compiled):
             if (w := prod(b[part[c]] for (part, _, _), b in zip(self.slots, beliefs)))
         ]
         norm = sum(w for _, w in row)
-        return [(c, w / norm) for c, w in row] if norm > 0.0 else self.off_path[m]
+        if norm > 0.0:
+            return [(c, w / norm) for c, w in row]
+        return self.flat_off_path_row(m)
 
 
 def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
@@ -363,14 +365,9 @@ def product_receiver_filter(flat: Flattened):
     )
 
 
-def enumerate_compound(
-    flat: Flattened, rule: OffPathRule = "prior", cap: int | None = None
-):
-    """Pure equilibria of the flattened game over per-constituent strategy
-    combinations, with component-consistent beliefs.
-
-    Only receiver and sender maps that combine one strategy per slot are
-    visited; the flat game's profile count still has to pass the cap."""
+def _compound_search(flat: Flattened, rule: OffPathRule, cap: int | None):
+    """The compound's compiled view and the index pairs of its pure
+    equilibria, searched over per-slot strategy combinations."""
     _check_size(flat.game, cap)
     core = _Composite(flat, rule)
     c_parts = [flat.content_components[cid] for cid in core.cids]
@@ -380,11 +377,22 @@ def enumerate_compound(
         [core.contents_of[m] for m in core.used],
         c_parts,
     )
-    return core.search(
+    return core, core.search(
         receivers,
         lambda *best_sets: _per_slot_products(c_parts, best_sets, m_parts),
-        composite_belief_builder(flat, rule),
     )
+
+
+def enumerate_compound(
+    flat: Flattened, rule: OffPathRule = "prior", cap: int | None = None
+):
+    """Pure equilibria of the flattened game over per-constituent strategy
+    combinations, with component-consistent beliefs.
+
+    Only receiver and sender maps that combine one strategy per slot are
+    visited; the flat game's profile count still has to pass the cap."""
+    core, pairs = _compound_search(flat, rule, cap)
+    return core.reports(pairs, composite_belief_builder(flat, rule))
 
 
 def constituent_expected_utility(
@@ -461,7 +469,9 @@ def predict_compound(
     playing the compound as a whole.
     """
     flat = flatten(cg, cap)
-    prediction = _prediction(flat.game, enumerate_compound(flat, rule, cap))
+    core, pairs = _compound_search(flat, rule, cap)
+    survivors = core.reports(core.pareto(pairs), composite_belief_builder(flat, rule))
+    prediction = _prediction(flat.game, survivors)
 
     own = [predict(c.game, rule, cap) for c in cg.constituents]
     all_annotations = []

@@ -160,11 +160,9 @@ class _Compiled:
             [c for c, cid in enumerate(cids) if (cid, mid) in edges] for mid in mids
         ]
         self.used = [m for m, options in enumerate(self.contents_of) if options]
-
-        self.off_path = {}
-        for m in self.used:
-            row = _off_path_row(g, mids[m], rule)
-            self.off_path[m] = [(self.c_index[c], p) for c, p in row.items()]
+        if rule not in ("prior", "uniform"):
+            raise InvalidGameError(f"unknown off-path rule {rule!r}")
+        self._flat_rows: dict[int, list[tuple[int, float]]] = {}
 
     # -- beliefs -----------------------------------------------------------
 
@@ -187,7 +185,21 @@ class _Compiled:
         return None
 
     def off_path_row(self, m: int, key) -> list[tuple[int, float]]:
-        return self.off_path[m]
+        return self.flat_off_path_row(m)
+
+    def flat_off_path_row(self, m: int) -> list[tuple[int, float]]:
+        """The off-path rule's row at ``m``, built on first read with the
+        sums and order of the string-keyed ``_off_path_row``."""
+        row = self._flat_rows.get(m)
+        if row is None:
+            eligible, prior = self.contents_of[m], self.prior
+            total = sum(prior[c] for c in eligible) if self.rule == "prior" else 0.0
+            if total > 0.0:
+                row = [(c, prior[c] / total) for c in eligible]
+            else:
+                row = [(c, 1.0 / len(eligible)) for c in eligible]
+            self._flat_rows[m] = row
+        return row
 
     # -- payoffs -----------------------------------------------------------
 
@@ -269,17 +281,15 @@ class _Compiled:
         self,
         receivers: Iterable[tuple[int, ...]],
         senders: Callable[..., Iterable[tuple[int, ...]]],
-        beliefs: BeliefBuilder | None = None,
-    ) -> list[EquilibriumReport]:
-        """Reports of the pure profiles that are mutual best responses.
+    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The pure profiles that are mutual best responses, as sorted
+        ``(sender, receiver)`` index tuples.
 
         ``receivers`` yields the receiver maps to visit, each the tuple of
         readings of the messages in ``used``.  Against each one,
         ``senders(*best_sets)`` yields the sender maps to check, drawn from
         the per-content sets of best-reply messages.  Receivers are checked
-        against the view's Bayes rows and off-path rows.  ``beliefs`` gives
-        the beliefs a passing sender's report carries; by default the
-        public ``posterior_beliefs``.
+        against the view's Bayes rows and off-path rows.
         """
         used, support = self.used, self.support
         sender_u, off_path_key = self.sender_u, self.off_path_key
@@ -314,11 +324,47 @@ class _Compiled:
                     found.append((s_combo, r_combo))
 
         found.sort()
-        if beliefs is None:
-            beliefs = partial(posterior_beliefs, self.game, rule=self.rule)
-        return [self.report(s, r, beliefs) for s, r in found]
+        return found
 
     # -- reports -----------------------------------------------------------
+
+    def payoffs(
+        self, s: tuple[int, ...], r: tuple[int, ...]
+    ) -> tuple[float, float, float]:
+        """Success probability and the sender's and receiver's expected
+        utility of the pure profile ``(s, r)``, summed in content order."""
+        reading = dict(zip(self.used, r))
+        success = eu_sender = eu_receiver = 0.0
+        for c, p in enumerate(self.prior):
+            if p == 0.0:
+                continue
+            m = s[c]
+            a = reading[m]
+            if a == c:
+                success += p
+            eu_sender += p * self.sender_u[c][m][a]
+            eu_receiver += p * self.receiver_u[c][m][a]
+        return success, eu_sender, eu_receiver
+
+    def pareto(
+        self, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The profiles of ``pairs``, in order, whose expected utilities no
+        other profile's Pareto-dominate."""
+        front = _pareto_front([self.payoffs(s, r)[1:] for s, r in pairs])
+        return [pair for pair, keep in zip(pairs, front) if keep]
+
+    def reports(
+        self,
+        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
+        beliefs: BeliefBuilder | None = None,
+    ) -> list[EquilibriumReport]:
+        """Reports of the profiles ``pairs``, in order.  ``beliefs`` gives
+        the beliefs each report carries; by default the public
+        ``posterior_beliefs``."""
+        if beliefs is None:
+            beliefs = partial(posterior_beliefs, self.game, rule=self.rule)
+        return [self.report(s, r, beliefs) for s, r in pairs]
 
     def report(
         self, s: tuple[int, ...], r: tuple[int, ...], beliefs: BeliefBuilder
@@ -331,17 +377,7 @@ class _Compiled:
         receiver = ReceiverStrategy(
             {mids[m]: {cids[a]: 1.0} for m, a in zip(self.used, r)}
         )
-        reading = dict(zip(self.used, r))
-        success = eu_sender = eu_receiver = 0.0
-        for c, p in enumerate(self.prior):
-            if p == 0.0:
-                continue
-            m = s[c]
-            a = reading[m]
-            if a == c:
-                success += p
-            eu_sender += p * self.sender_u[c][m][a]
-            eu_receiver += p * self.receiver_u[c][m][a]
+        success, eu_sender, eu_receiver = self.payoffs(s, r)
         return EquilibriumReport(
             profile=Profile(sender, receiver),
             beliefs=beliefs(sender),
@@ -460,6 +496,19 @@ def _check_size(g: MeaningGame, cap: int | None) -> None:
         )
 
 
+def _search(
+    g: MeaningGame, rule: OffPathRule, cap: int | None
+) -> tuple[_Compiled, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The compiled view of ``g`` and the index pairs of its pure
+    equilibria, searched over the full receiver and sender products."""
+    _check_size(g, cap)
+    core = _Compiled(g, rule)
+    return core, core.search(
+        itertools.product(*[core.contents_of[m] for m in core.used]),
+        itertools.product,
+    )
+
+
 def enumerate_pure_equilibria(
     g: MeaningGame, rule: OffPathRule = "prior", cap: int | None = None
 ) -> list[EquilibriumReport]:
@@ -476,28 +525,32 @@ def enumerate_pure_equilibria(
     preimage under the pure sender.  Reports are built only for the
     profiles that pass.
     """
-    _check_size(g, cap)
-    core = _Compiled(g, rule)
-    return core.search(
-        itertools.product(*[core.contents_of[m] for m in core.used]),
-        itertools.product,
-    )
+    core, pairs = _search(g, rule, cap)
+    return core.reports(pairs)
 
 
-def _dominates(a: EquilibriumReport, b: EquilibriumReport) -> bool:
-    """Pareto dominance: weakly better for both players, strictly for one."""
-    weakly = a.eu_sender >= b.eu_sender - TOL and a.eu_receiver >= b.eu_receiver - TOL
-    strictly = a.eu_sender > b.eu_sender + TOL or a.eu_receiver > b.eu_receiver + TOL
+def _dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """Pareto dominance of the (sender, receiver) payoff pair ``a`` over
+    ``b``: weakly better for both players, strictly for one."""
+    weakly = a[0] >= b[0] - TOL and a[1] >= b[1] - TOL
+    strictly = a[0] > b[0] + TOL or a[1] > b[1] + TOL
     return weakly and strictly
+
+
+def _pareto_front(points: list[tuple[float, float]]) -> list[bool]:
+    """Per payoff pair, whether no other pair dominates it.  Dominance
+    within the tolerance is not transitive, so every pair is checked
+    against every other; equal pairs never dominate each other, so each
+    distinct pair is checked once."""
+    distinct = set(points)
+    dominated = {b for b in distinct if any(_dominates(a, b) for a in distinct)}
+    return [p not in dominated for p in points]
 
 
 def pareto_filter(reports: list[EquilibriumReport]) -> list[EquilibriumReport]:
     """Keep only equilibria no other equilibrium is Pareto superior to."""
-    return [
-        r
-        for r in reports
-        if not any(_dominates(other, r) for other in reports if other is not r)
-    ]
+    front = _pareto_front([(r.eu_sender, r.eu_receiver) for r in reports])
+    return [r for r, keep in zip(reports, front) if keep]
 
 
 def _on_path_interpretation(
@@ -537,8 +590,7 @@ class Prediction:
 
 
 def _prediction(g: MeaningGame, reports: list[EquilibriumReport]) -> Prediction:
-    """Pareto filter over the equilibria of ``g``; ties all returned."""
-    reports = pareto_filter(reports)
+    """The prediction made by the Pareto-optimal equilibria ``reports``."""
     maps = []
     for r in reports:
         interp = _on_path_interpretation(g, r)
@@ -550,8 +602,10 @@ def _prediction(g: MeaningGame, reports: list[EquilibriumReport]) -> Prediction:
 def predict(
     g: MeaningGame, rule: OffPathRule = "prior", cap: int | None = None
 ) -> Prediction:
-    """Pareto filter over the enumerated equilibria; ties all returned."""
-    return _prediction(g, enumerate_pure_equilibria(g, rule, cap))
+    """Pareto filter over the pure equilibria; ties all returned.  Only
+    the survivors' reports are built."""
+    core, pairs = _search(g, rule, cap)
+    return _prediction(g, core.reports(core.pareto(pairs)))
 
 
 def _per_message_cost(

@@ -82,6 +82,16 @@ def _schema_errors(path):
         raise ScenarioError(f"{path}: malformed field: {exc}") from exc
 
 
+@contextmanager
+def _named(path):
+    """Prefix a ``ScenarioError`` raised by a check that does not know the
+    file with the file's name."""
+    try:
+        yield
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A parsed game file: the game plus solver defaults it carries."""
@@ -217,9 +227,10 @@ def serialize_game(g: MeaningGame) -> dict:
 
 def _parse_form_costs(data: Mapping, path) -> dict[FormKind, float]:
     costs = dict(DEFAULT_FORM_COSTS)
-    for tag, value in data.get("form_costs", {}).items():
-        costs[FormKind.from_tag(str(tag))] = float(value)
-    validate_form_costs(costs)
+    with _named(path):
+        for tag, value in data.get("form_costs", {}).items():
+            costs[FormKind.from_tag(str(tag))] = float(value)
+        validate_form_costs(costs)
     return costs
 
 
@@ -238,11 +249,12 @@ def _parse_config(data: Mapping, path) -> ResolutionConfig:
     """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
     cfg = data.get("config", {})
     fields = {k: parse(cfg[k]) for k, parse in _CONFIG_FIELDS.items() if k in cfg}
-    if "boosts" in cfg:
-        fields["boosts"] = dict(ResolutionConfig().boosts)
-        for tag, value in cfg["boosts"].items():
-            fields["boosts"][FormKind.from_tag(str(tag))] = float(value)
-    return ResolutionConfig(**fields)
+    with _named(path):
+        if "boosts" in cfg:
+            fields["boosts"] = dict(ResolutionConfig().boosts)
+            for tag, value in cfg["boosts"].items():
+                fields["boosts"][FormKind.from_tag(str(tag))] = float(value)
+        return ResolutionConfig(**fields)
 
 
 def parse_discourse(data: Mapping, path: str | Path = "<discourse>") -> Discourse:

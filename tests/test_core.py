@@ -3,8 +3,9 @@
 The equilibrium search runs on an integer-indexed view of the game and
 memoizes receiver best replies by message preimage; these tests check it
 report for report against ``oracle.py`` (maps, expected utilities, success,
-beliefs, Pareto survivors) and pin the CLI's machine output for the bundled
-files.
+beliefs, Pareto survivors), check that ``predict`` and ``predict_compound``,
+which build reports only for the Pareto survivors, equal the filtered full
+enumeration, and pin the CLI's machine output for the bundled files.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ import pytest
 
 import oracle
 from generators import message_cost_game, random_compound, random_valid_game
-from meaning_games import Prior, enumerate_pure_equilibria, flatten, pareto_filter
+from meaning_games import (
+    Prior,
+    enumerate_pure_equilibria,
+    equilibrium,
+    flatten,
+    pareto_filter,
+    predict,
+)
 from meaning_games.cli import main
-from meaning_games.compound import predict_compound
+from meaning_games.compound import enumerate_compound, predict_compound
+from meaning_games.equilibrium import _prediction
 
 BUNDLED = Path(__file__).parent.parent / "src" / "meaning_games" / "data"
 PINNED = Path(__file__).parent / "data"
@@ -172,7 +181,49 @@ def test_predict_compound_matches_oracle(rule):
         assert survivors == oracle.pareto_maps(g, equilibria)
 
 
+@pytest.mark.parametrize("rule", RULES)
+def test_predict_equals_the_filtered_enumeration(rule):
+    # Ties nudged within the tolerance make dominance non-transitive, so the
+    # filter on payoff pairs must check every pair against every other.
+    for g in generated_games(60, 4242):
+        expected = _prediction(g, pareto_filter(enumerate_pure_equilibria(g, rule)))
+        assert repr(predict(g, rule)) == repr(expected)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_predict_compound_equals_the_filtered_enumeration(rule):
+    rng = random.Random(4343)
+    for i in range(20):
+        cg = random_compound(rng, constrained=bool(i % 2))
+        flat = flatten(cg)
+        expected = _prediction(flat.game, pareto_filter(enumerate_compound(flat, rule)))
+        assert repr(predict_compound(cg, rule).prediction) == repr(expected)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_predict_builds_beliefs_for_the_survivors_only(rule, monkeypatch):
+    calls = []
+    real = equilibrium.posterior_beliefs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "posterior_beliefs", counted)
+    pruned = 0
+    for g in generated_games(30, 4444):
+        calls.clear()
+        survivors = predict(g, rule).reports
+        assert len(calls) == len(survivors)
+        calls.clear()
+        reports = enumerate_pure_equilibria(g, rule)
+        assert len(calls) == len(reports)
+        pruned += len(reports) - len(survivors)
+    assert pruned > 0
+
+
 PINNED_RUNS = [
+    ("pareto", "--game", "fig2.game"),
     ("predict", "--game", "fig2.game"),
     ("solve", "--game", "fig2.game"),
     ("levelk", "--game", "fig2.game"),

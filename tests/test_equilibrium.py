@@ -226,6 +226,17 @@ class TestPareto:
         kept = pareto_filter(chain)
         assert kept == [chain[2]]
 
+    def test_a_report_dominated_only_by_a_dominated_one_is_dropped(self):
+        # Within the tolerance dominance is not transitive: top beats middle
+        # and middle beats low, but top is too far below low for the
+        # receiver to beat it.
+        base = enumerate_pure_equilibria(pronoun_game())[0]
+        t = 1e-9
+        top = replace(base, eu_sender=2 * t, eu_receiver=-0.9 * t)
+        middle = replace(base, eu_sender=0.0, eu_receiver=0.0)
+        low = replace(base, eu_sender=-2 * t, eu_receiver=0.5 * t)
+        assert pareto_filter([top, middle, low]) == [top]
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_output_is_an_antichain(self, seed):

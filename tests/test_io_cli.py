@@ -231,6 +231,7 @@ BAD_DISCOURSES = {
     "negative_success_bonus": lambda d: d["config"].update(success_bonus=-1),
     "nan_cb_bonus": lambda d: d["config"].update(cb_bonus=float("nan")),
     "inf_form_cost": lambda d: d["form_costs"].update(proper_name=float("inf")),
+    "unknown_boost_form": lambda d: d["config"].update(boosts={"epithet": 2.0}),
 }
 
 
@@ -400,6 +401,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_DISCOURSES))
+    def test_bad_discourse_error_names_the_file(
+        self, he_man_path, tmp_path, capsys, case
+    ):
+        data = json.loads(he_man_path.read_text())
+        BAD_DISCOURSES[case](data)
+        path = tmp_path / f"{case}.disc"
+        path.write_text(json.dumps(data))
+        assert main(["resolve", "--discourse", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_validate_discourse(self, he_man_path, capsys):
         code = main(
