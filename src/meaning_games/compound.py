@@ -257,6 +257,20 @@ class _Composite(_Compiled):
                 [mids.index(flat.message_components[mid][k]) for mid in self.mids],
                 g,
             ))
+        # The same indices per flat content and per flat message, slot by slot.
+        self.c_parts = list(zip(*(c_part for c_part, _, _ in self.slots)))
+        self.m_parts = list(zip(*(m_part for _, m_part, _ in self.slots)))
+
+    def admit(self, state: dict, m: int, a: int) -> dict | None:
+        """A receiver of a compound combines one map per slot.  ``state``
+        maps each (slot, message component) read so far to its content
+        component; reading ``a`` at ``m`` is refused when it would give one
+        of them a second value."""
+        grown = dict(state)
+        for key, part in zip(enumerate(self.m_parts[m]), self.c_parts[a]):
+            if grown.setdefault(key, part) != part:
+                return None
+        return grown
 
     def off_path_key(self, m: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -327,7 +341,9 @@ def _per_slot_products(keys, options, parts):
     choice ``x`` has slot components ``parts[x]``.  A tuple is kept when,
     for every slot ``k``, positions that agree on ``keys[i][k]`` agree on
     ``parts[x][k]``: the induced slot-``k`` map is a function.  A prefix is
-    dropped as soon as one slot's induced map stops being a function.
+    dropped as soon as one slot's induced map stops being a function.  The
+    search draws the sender maps this way; receivers go through
+    ``_Composite.admit``.
     """
 
     def extend(i, induced, chosen):
@@ -370,16 +386,8 @@ def _compound_search(flat: Flattened, rule: OffPathRule, cap: int | None):
     equilibria, searched over per-slot strategy combinations."""
     _check_size(flat.game, cap)
     core = _Composite(flat, rule)
-    c_parts = [flat.content_components[cid] for cid in core.cids]
-    m_parts = [flat.message_components[mid] for mid in core.mids]
-    receivers = _per_slot_products(
-        [m_parts[m] for m in core.used],
-        [core.contents_of[m] for m in core.used],
-        c_parts,
-    )
     return core, core.search(
-        receivers,
-        lambda *best_sets: _per_slot_products(c_parts, best_sets, m_parts),
+        lambda *best_sets: _per_slot_products(core.c_parts, best_sets, core.m_parts)
     )
 
 

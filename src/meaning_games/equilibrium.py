@@ -277,51 +277,114 @@ class _Compiled:
 
     # -- search ------------------------------------------------------------
 
+    # The receiver readings the search may combine.  ``admit(state, m, a)``
+    # gives the walk's state after reading ``a`` at ``m`` on top of
+    # ``state``, or None to prune the reading; the root state is an empty
+    # dict.  A plain game admits every reading, so it has no hook.
+    admit: Callable[[dict, int, int], dict | None] | None = None
+
     def search(
-        self,
-        receivers: Iterable[tuple[int, ...]],
-        senders: Callable[..., Iterable[tuple[int, ...]]],
+        self, senders: Callable[..., Iterable[tuple[int, ...]]]
     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The pure profiles that are mutual best responses, as sorted
         ``(sender, receiver)`` index tuples.
 
-        ``receivers`` yields the receiver maps to visit, each the tuple of
-        readings of the messages in ``used``.  Against each one,
-        ``senders(*best_sets)`` yields the sender maps to check, drawn from
-        the per-content sets of best-reply messages.  Receivers are checked
-        against the view's Bayes rows and off-path rows.
+        The receiver maps are walked depth first, one message of ``used``
+        per depth, in ``itertools.product`` order over the readings the
+        view's ``admit`` hook allows.  Per content the walk carries the
+        best sender value met so far and the messages that were within TOL
+        of it when met.  At a leaf each content's best-reply set is those
+        candidates within TOL of its final best: the running best never
+        exceeds the final one, so no best reply was passed over.
+        ``senders(*best_sets)`` yields the sender maps to check against the
+        leaf's receiver, which is checked against the view's Bayes rows and
+        off-path rows.
         """
-        used, support = self.used, self.support
+        used, support, admit = self.used, self.support, self.admit
         sender_u, off_path_key = self.sender_u, self.off_path_key
+        options = [self.contents_of[m] for m in used]
+        last = len(used) - 1
+        m_last = used[last]
+        last_u = [sender_u[c][m_last] for c in range(len(self.cids))]
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         best_replies: dict[tuple, set[int]] = {}
+        sender_keys: dict[tuple[int, ...], list[tuple]] = {}
         reading = [None] * len(self.mids)
-        for r_combo in receivers:
-            for m, a in zip(used, r_combo):
-                reading[m] = a
+        # Per depth: the running bests and candidate messages before that
+        # depth's message is read, the admit state, and the next option.
+        bests = [[float("-inf")] * len(self.cids)] + [None] * last
+        cands: list = [[()] * len(self.cids)] + [None] * last
+        states: list = [{}] + [None] * last
+        nxt = [0] * (last + 1)
+        d = 0
+        while d >= 0:
+            i = nxt[d]
+            opts = options[d]
+            if i == len(opts):
+                nxt[d] = 0
+                d -= 1
+                continue
+            nxt[d] = i + 1
+            a = opts[i]
+            m = used[d]
+            state = states[d]
+            if admit is not None:
+                state = admit(state, m, a)
+                if state is None:
+                    continue
+            reading[m] = a
+
+            if d < last:
+                best, cand = bests[d][:], cands[d][:]
+                for c in opts:
+                    v = sender_u[c][m][a]
+                    if v >= best[c] - TOL:
+                        cand[c] += (m,)
+                        if v > best[c]:
+                            best[c] = v
+                d += 1
+                bests[d], cands[d], states[d] = best, cand, state
+                continue
 
             best_sets = []
-            for c, options in enumerate(self.messages_of):
-                values = [sender_u[c][m][reading[m]] for m in options]
-                best = max(values)
-                best_sets.append([m for m, v in zip(options, values) if v >= best - TOL])
+            for b, cand, u, row in zip(bests[d], cands[d], last_u, sender_u):
+                if u is not None:
+                    v = u[a]
+                    if v >= b - TOL:
+                        cand += (m,)
+                        if v > b:
+                            b = v
+                if len(cand) > 1:
+                    b -= TOL
+                    cand = [x for x in cand if row[x][reading[x]] >= b]
+                best_sets.append(cand)
 
-            for s_combo in senders(*best_sets):
-                # A pure sender's posterior at m depends only on which
-                # positive-prior contents send m, and off the path only on
+            for s in senders(*best_sets):
+                # A pure sender's posterior at x depends only on which
+                # positive-prior contents send x, and off the path only on
                 # the view's off-path key, so best replies are shared by
-                # every sender with the same key.
-                for m in used:
-                    preimage = tuple(c for c in support if s_combo[c] == m)
-                    key = (m, preimage, None if preimage else off_path_key(m, s_combo))
+                # every sender with the same key.  A sender recurs across
+                # receiver maps, so its keys are built once, from one pass
+                # over the support.
+                keys = sender_keys.get(s)
+                if keys is None:
+                    preimages: dict[int, tuple[int, ...]] = {}
+                    for c in support:
+                        preimages[s[c]] = preimages.get(s[c], ()) + (c,)
+                    keys = []
+                    for x in used:
+                        p = preimages.get(x, ())
+                        keys.append((x, p, None if p else off_path_key(x, s)))
+                    sender_keys[s] = keys
+                for key in keys:
                     best_set = best_replies.get(key)
                     if best_set is None:
-                        best_set = self.receiver_best_set(m, self.bayes_row(*key))
+                        best_set = self.receiver_best_set(key[0], self.bayes_row(*key))
                         best_replies[key] = best_set
-                    if reading[m] not in best_set:
+                    if reading[key[0]] not in best_set:
                         break
                 else:
-                    found.append((s_combo, r_combo))
+                    found.append((s, tuple(reading[x] for x in used)))
 
         found.sort()
         return found
@@ -503,10 +566,7 @@ def _search(
     equilibria, searched over the full receiver and sender products."""
     _check_size(g, cap)
     core = _Compiled(g, rule)
-    return core, core.search(
-        itertools.product(*[core.contents_of[m] for m in core.used]),
-        itertools.product,
-    )
+    return core, core.search(itertools.product)
 
 
 def enumerate_pure_equilibria(
@@ -516,14 +576,18 @@ def enumerate_pure_equilibria(
 
     Output order is lexicographic in the profile encoding: the tuple of
     chosen message indices per content (game order) followed by the chosen
-    content indices per message.  The search is organized receiver-major:
-    against a fixed pure receiver, the sender's best-reply set per content
-    is computed once, and only senders drawn from those sets can pass, so
-    the full profile product is never materialized.  The game is compiled
-    into integer-indexed utility tables once per call; the receiver's best
-    replies at a message are memoized for the call by the message's
-    preimage under the pure sender.  Reports are built only for the
-    profiles that pass.
+    content indices per message.  The game is compiled into
+    integer-indexed utility tables once per call.  The search walks the
+    pure receivers depth first, one message per depth, carrying each
+    content's best sender value so far and the messages within tolerance
+    of it when met; at each receiver map (a leaf) those candidates, kept
+    within tolerance of the final best, are the content's best-reply set,
+    and only senders drawn from those sets can pass, so the full profile
+    product is never materialized.  Compounds use the same walk, with an
+    ``admit`` hook that refuses readings no per-slot strategy combination
+    has.  The receiver's best replies at a message are memoized for the
+    call by the message's preimage under the pure sender.  Reports are
+    built only for the profiles that pass.
     """
     core, pairs = _search(g, rule, cap)
     return core.reports(pairs)

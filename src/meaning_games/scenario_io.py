@@ -92,6 +92,16 @@ def _named(path):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
+def _from_tag(kind, tag: str, path):
+    """``kind.from_tag(tag)``, with an unknown tag's error naming the file.
+    Parsing calls this per realization, where a ``_named`` block would cost
+    a generator each time."""
+    try:
+        return kind.from_tag(tag)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A parsed game file: the game plus solver defaults it carries."""
@@ -278,14 +288,15 @@ def _parse_discourse(data: Mapping, path) -> Discourse:
     config = _parse_config(data, path)
 
     def form_of(tag: str, cost: float | None = None) -> ExpressionForm:
-        kind = FormKind.from_tag(tag)
+        kind = _from_tag(FormKind, tag, path)
         return ExpressionForm(kind, form_costs[kind] if cost is None else cost)
 
     utterances = []
     for index, entry in enumerate(_require(data, "utterances", path), start=1):
         items: list[Realization | ReferenceSlot] = []
         for r in entry.get("realizations", []):
-            function = GrammaticalFunction.from_tag(str(_require(r, "function", path)))
+            tag = str(_require(r, "function", path))
+            function = _from_tag(GrammaticalFunction, tag, path)
             surface = str(_require(r, "surface", path))
             if "entity" in r:
                 eid = str(r["entity"])

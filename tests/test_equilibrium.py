@@ -326,6 +326,14 @@ class TestAssortative:
                 c: max(row, key=row.get) for c, row in expected.sender.rows.items()
             }
 
+    @pytest.mark.parametrize("n, cap, count", [(5, None, 4), (6, 6**12, 1)])
+    def test_matches_enumeration_on_complete_larger_games(self, n, cap, count):
+        rng = random.Random(50 + n)
+        for _ in range(count):
+            g = random_assortative_game(rng, n)
+            prediction = predict(g, cap=cap)
+            assert [r.profile for r in prediction.reports] == [assortative_solution(g)]
+
 
 class TestExplain:
     def test_values_match_the_identity(self):
@@ -370,3 +378,22 @@ class TestOracleAgreement:
                 for r in enumerate_pure_equilibria(g, rule)
             }
             assert ours == oracle.enumerate_equilibria(g, rule)
+
+    @pytest.mark.parametrize(
+        "costs", [(1.2e-9, 0.6e-9, 0.0), (0.0, 0.6e-9, 1.2e-9)], ids=["up", "down"]
+    )
+    def test_sender_values_moving_in_steps_below_the_tolerance(self, costs):
+        # Neighbouring messages differ by less than the tolerance, the first
+        # and last by more, so two of the three are best replies.  Going up,
+        # the first is within the tolerance of the best met so far but not
+        # of the final best; going down, the last is out as soon as it is met.
+        g = message_cost_game({"c": 1.0}, dict(zip(["m0", "m1", "m2"], costs)), 0.0)
+        ours = {
+            (
+                tuple(sorted(r.sender_map().items())),
+                tuple(sorted(r.receiver_map().items())),
+            )
+            for r in enumerate_pure_equilibria(g)
+        }
+        assert len(ours) == 2
+        assert ours == oracle.enumerate_equilibria(g)

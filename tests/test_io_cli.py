@@ -232,6 +232,12 @@ BAD_DISCOURSES = {
     "nan_cb_bonus": lambda d: d["config"].update(cb_bonus=float("nan")),
     "inf_form_cost": lambda d: d["form_costs"].update(proper_name=float("inf")),
     "unknown_boost_form": lambda d: d["config"].update(boosts={"epithet": 2.0}),
+    "unknown_realization_form": lambda d: d["utterances"][0]["realizations"][0].update(
+        form="epithet"
+    ),
+    "unknown_function": lambda d: d["utterances"][1]["realizations"][0].update(
+        function="topic"
+    ),
 }
 
 
