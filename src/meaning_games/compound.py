@@ -262,15 +262,10 @@ class _Composite(_Compiled):
         self.m_parts = list(zip(*(m_part for _, m_part, _ in self.slots)))
 
     def admit(self, state: dict, m: int, a: int) -> dict | None:
-        """A receiver of a compound combines one map per slot.  ``state``
-        maps each (slot, message component) read so far to its content
-        component; reading ``a`` at ``m`` is refused when it would give one
-        of them a second value."""
-        grown = dict(state)
-        for key, part in zip(enumerate(self.m_parts[m]), self.c_parts[a]):
-            if grown.setdefault(key, part) != part:
-                return None
-        return grown
+        """A receiver of a compound combines one map per slot: ``state``
+        is the induced per-slot map of the messages read so far, and
+        reading ``a`` at ``m`` is refused when it would stop being one."""
+        return _grow(state, self.m_parts[m], self.c_parts[a])
 
     def off_path_key(self, m: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -330,6 +325,18 @@ def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
     return build
 
 
+def _grow(state: dict, key_parts, value_parts) -> dict | None:
+    """``state`` with slot ``k``'s component ``key_parts[k]`` mapped to
+    ``value_parts[k]`` for every slot, or None when one of them already
+    maps to another value: the induced per-slot maps must stay functions.
+    ``state`` maps each (slot, component) pair to its value."""
+    grown = dict(state)
+    for key, part in zip(enumerate(key_parts), value_parts):
+        if grown.setdefault(key, part) != part:
+            return None
+    return grown
+
+
 def _per_slot_products(keys, options, parts):
     """The tuples of ``itertools.product(*options)``, in its order, that
     combine one strategy per slot.
@@ -341,22 +348,21 @@ def _per_slot_products(keys, options, parts):
     choice ``x`` has slot components ``parts[x]``.  A tuple is kept when,
     for every slot ``k``, positions that agree on ``keys[i][k]`` agree on
     ``parts[x][k]``: the induced slot-``k`` map is a function.  A prefix is
-    dropped as soon as one slot's induced map stops being a function.  The
-    search draws the sender maps this way; receivers go through
-    ``_Composite.admit``.
+    dropped as soon as ``_grow`` refuses it.  The search draws the sender
+    maps this way; receivers go through ``_Composite.admit``, which applies
+    the same ``_grow`` one message at a time.
     """
 
-    def extend(i, induced, chosen):
+    def extend(i, state, chosen):
         if i == len(keys):
             yield chosen
             return
         for x in options[i]:
-            pairs = tuple(zip(keys[i], parts[x]))
-            if all(seen.get(k, v) == v for seen, (k, v) in zip(induced, pairs)):
-                grown = [{**seen, k: v} for seen, (k, v) in zip(induced, pairs)]
+            grown = _grow(state, keys[i], parts[x])
+            if grown is not None:
                 yield from extend(i + 1, grown, chosen + (x,))
 
-    return extend(0, [{}] * len(keys[0]) if keys else [], ())
+    return extend(0, {}, ())
 
 
 def _factors(mapping: Mapping[str, str], key_parts, value_parts) -> bool:

@@ -308,7 +308,6 @@ class _Compiled:
         last_u = [sender_u[c][m_last] for c in range(len(self.cids))]
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         best_replies: dict[tuple, set[int]] = {}
-        sender_keys: dict[tuple[int, ...], list[tuple]] = {}
         reading = [None] * len(self.mids)
         # Per depth: the running bests and candidate messages before that
         # depth's message is read, the admit state, and the next option.
@@ -363,25 +362,19 @@ class _Compiled:
                 # A pure sender's posterior at x depends only on which
                 # positive-prior contents send x, and off the path only on
                 # the view's off-path key, so best replies are shared by
-                # every sender with the same key.  A sender recurs across
-                # receiver maps, so its keys are built once, from one pass
-                # over the support.
-                keys = sender_keys.get(s)
-                if keys is None:
-                    preimages: dict[int, tuple[int, ...]] = {}
-                    for c in support:
-                        preimages[s[c]] = preimages.get(s[c], ()) + (c,)
-                    keys = []
-                    for x in used:
-                        p = preimages.get(x, ())
-                        keys.append((x, p, None if p else off_path_key(x, s)))
-                    sender_keys[s] = keys
-                for key in keys:
+                # every sender with the same key.  The preimages come from
+                # one pass over the support.
+                preimages: dict[int, tuple[int, ...]] = {}
+                for c in support:
+                    preimages[s[c]] = preimages.get(s[c], ()) + (c,)
+                for x in used:
+                    p = preimages.get(x, ())
+                    key = (x, p, None if p else off_path_key(x, s))
                     best_set = best_replies.get(key)
                     if best_set is None:
-                        best_set = self.receiver_best_set(key[0], self.bayes_row(*key))
+                        best_set = self.receiver_best_set(x, self.bayes_row(*key))
                         best_replies[key] = best_set
-                    if reading[key[0]] not in best_set:
+                    if reading[x] not in best_set:
                         break
                 else:
                     found.append((s, tuple(reading[x] for x in used)))

@@ -89,7 +89,7 @@ def _named(path):
     try:
         yield
     except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise _prefixed(path, exc) from exc
 
 
 def _from_tag(kind, tag: str, path):
@@ -99,7 +99,12 @@ def _from_tag(kind, tag: str, path):
     try:
         return kind.from_tag(tag)
     except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise _prefixed(path, exc) from exc
+
+
+def _prefixed(path, exc: ScenarioError) -> ScenarioError:
+    """``exc``'s message prefixed with the file's name."""
+    return ScenarioError(f"{path}: {exc}")
 
 
 @dataclass(frozen=True)
