@@ -8,6 +8,7 @@ across runs with the same inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -283,7 +284,10 @@ _NEEDS_GAME = {"solve", "pareto", "predict", "levelk", "explain"}
 _NEEDS_DISCOURSE = {"resolve", "compound"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first ``main`` call and reused by
+    every later call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="meaning-games",
         description="Solve meaning games and resolve discourse references.",
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command in _NEEDS_GAME and not args.game:
@@ -362,9 +366,10 @@ def main(argv: list[str] | None = None) -> int:
         payload=payload,
         elapsed_ms=elapsed_ms,
     )
-    machine = render_machine(report)
-    if args.out is not None:
-        Path(args.out).write_text(machine + "\n")
+    if args.format == "machine" or args.out is not None:
+        machine = render_machine(report)
+        if args.out is not None:
+            Path(args.out).write_text(machine + "\n")
     if args.format == "machine":
         print(machine)
     else:

@@ -390,8 +390,8 @@ def product_receiver_filter(flat: Flattened):
 def _compound_search(flat: Flattened, rule: OffPathRule, cap: int | None):
     """The compound's compiled view and the index pairs of its pure
     equilibria, searched over per-slot strategy combinations."""
-    _check_size(flat.game, cap)
     core = _Composite(flat, rule)
+    _check_size(core, cap)
     return core, core.search(
         lambda *best_sets: _per_slot_products(core.c_parts, best_sets, core.m_parts)
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from math import prod
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
@@ -107,15 +108,11 @@ class EquilibriumReport:
 
     def sender_map(self) -> dict[str, str]:
         """Modal message per content (exact for deterministic profiles)."""
-        return {
-            c: max(row, key=lambda m: row[m]) for c, row in self.profile.sender.rows.items()
-        }
+        return {c: max(row, key=row.get) for c, row in self.profile.sender.rows.items()}
 
     def receiver_map(self) -> dict[str, str]:
-        return {
-            m: max(row, key=lambda c: row[c])
-            for m, row in self.profile.receiver.rows.items()
-        }
+        rows = self.profile.receiver.rows
+        return {m: max(row, key=row.get) for m, row in rows.items()}
 
 
 def _off_path_row(g: MeaningGame, mid: str, rule: OffPathRule) -> dict[str, float]:
@@ -139,9 +136,10 @@ class _Compiled:
     and ``receiver_u[c][m][a]`` hold each player's utility of intending
     ``c``, sending ``m`` and reading ``a``; entries for ungrammatical pairs
     are None.  Each table is filled on first use, so a caller that needs
-    one player's payoffs does not pay for the other's.  Sums run in content
-    order with the same zero-mass guards as the string-keyed definitions in
-    ``game``, so values are bit-identical.
+    one player's payoffs does not pay for the other's, and a common-interest
+    game, whose two players value every turn alike, builds one table for
+    both.  Sums run in content order with the same zero-mass guards as the
+    string-keyed definitions in ``game``, so values are bit-identical.
     """
 
     def __init__(self, g: MeaningGame, rule: OffPathRule):
@@ -156,9 +154,10 @@ class _Compiled:
         self.messages_of = [
             [m for m, mid in enumerate(mids) if (cid, mid) in edges] for cid in cids
         ]
-        self.contents_of = [
-            [c for c, cid in enumerate(cids) if (cid, mid) in edges] for mid in mids
-        ]
+        self.contents_of = [[] for _ in mids]
+        for c, options in enumerate(self.messages_of):
+            for m in options:
+                self.contents_of[m].append(c)
         self.used = [m for m, options in enumerate(self.contents_of) if options]
         if rule not in ("prior", "uniform"):
             raise InvalidGameError(f"unknown off-path rule {rule!r}")
@@ -209,6 +208,8 @@ class _Compiled:
 
     @cached_property
     def receiver_u(self) -> list[list[list[float | None] | None]]:
+        if self.game.utility.shared:
+            return self.sender_u
         return self._utility_table("R")
 
     def _utility_table(self, player: Player) -> list[list[list[float | None] | None]]:
@@ -451,11 +452,11 @@ def posterior_beliefs(
     _validate_sender(g, s)
     posterior: dict[str, dict[str, float]] = {}
     on_path = set()
+    cids, edges = g.content_ids(), g.edges
     for m in g.message_ids():
-        eligible = g.contents_for(m)
-        if not eligible:
+        if not any((c, m) in edges for c in cids):
             continue
-        joint = {c: g.prior[c] * s.row(c).get(m, 0.0) for c in g.content_ids()}
+        joint = {c: g.prior[c] * s.row(c).get(m, 0.0) for c in cids}
         denom = sum(joint.values())
         if denom > 0.0:
             posterior[m] = {c: w / denom for c, w in joint.items() if w > 0.0}
@@ -529,21 +530,14 @@ def classify_profile(g: MeaningGame, smap: Mapping[str, str]) -> str:
     return "partial"
 
 
-def profile_count(g: MeaningGame) -> int:
-    count = 1
-    for c in g.content_ids():
-        count *= len(g.messages_for(c))
-    for m in g.message_ids():
-        deg = len(g.contents_for(m))
-        if deg:
-            count *= deg
-    return count
-
-
-def _check_size(g: MeaningGame, cap: int | None) -> None:
-    """Refuse ``g`` when its profile count exceeds the cap."""
+def _check_size(core: _Compiled, cap: int | None) -> None:
+    """Refuse the compiled game when its count of deterministic profiles,
+    the product of every content's and every used message's options,
+    exceeds the cap."""
     cap = DEFAULT_CAP if cap is None else cap
-    total = profile_count(g)
+    total = prod(map(len, core.messages_of)) * prod(
+        len(core.contents_of[m]) for m in core.used
+    )
     if total > cap:
         raise SizeLimitError(
             f"{total} deterministic profiles exceed the cap of {cap}; "
@@ -557,8 +551,8 @@ def _search(
 ) -> tuple[_Compiled, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """The compiled view of ``g`` and the index pairs of its pure
     equilibria, searched over the full receiver and sender products."""
-    _check_size(g, cap)
     core = _Compiled(g, rule)
+    _check_size(core, cap)
     return core, core.search(itertools.product)
 
 
@@ -643,7 +637,8 @@ class Prediction:
 
     def readings_of(self, mid: str) -> set[str]:
         """All interpretations the surviving equilibria assign a message."""
-        return {r.receiver_map()[mid] for r in self.reports if mid in r.receiver_map()}
+        maps = [r.receiver_map() for r in self.reports]
+        return {rmap[mid] for rmap in maps if mid in rmap}
 
 
 def _prediction(g: MeaningGame, reports: list[EquilibriumReport]) -> Prediction:

@@ -20,6 +20,7 @@ import oracle
 from generators import message_cost_game, random_compound, random_valid_game
 from meaning_games import (
     Prior,
+    SizeLimitError,
     enumerate_pure_equilibria,
     equilibrium,
     flatten,
@@ -132,6 +133,76 @@ def test_zero_mass_preimage_falls_back_to_the_off_path_row(rule):
     assert silent
     for r in silent:
         assert r.beliefs.at("n") == oracle._beliefs(g, r.sender_map(), rule)["n"]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_common_interest_games_with_unequal_bonuses_match_oracle(rule):
+    # Under ``shared`` both players value a turn at the mean of the two
+    # selfish utilities, whatever the bonuses and cost tables, so one
+    # utility table serves both; the generators only give equal bonuses.
+    rng = random.Random(2525)
+    for i in range(40):
+        g = random_valid_game(rng, max_size=4 if i % 4 == 0 else 3, shared=True)
+        u = g.utility
+        g = replace(
+            g,
+            utility=replace(
+                u,
+                sender_bonus=rng.uniform(0.2, 2.0),
+                receiver_bonus=rng.uniform(0.2, 2.0),
+            ),
+        )
+        assert g.utility.sender_bonus != g.utility.receiver_bonus
+        assert g.utility.sender_cost != {
+            (c, m): v for (m, c), v in g.utility.receiver_cost.items()
+        }
+        reports = enumerate_pure_equilibria(g, rule)
+        assert_reports_match_oracle(g, reports, rule)
+        survivors = predict(g, rule).reports
+        expected = oracle.pareto_maps(g, {maps(r) for r in reports})
+        assert {maps(r)[0] for r in survivors} == expected
+        for r in survivors:
+            smap, rmap = r.sender_map(), r.receiver_map()
+            assert r.eu_sender == oracle.expected_utility(g, smap, rmap, "S")
+            assert r.eu_receiver == oracle.expected_utility(g, smap, rmap, "R")
+
+
+def profile_count(g) -> int:
+    """Deterministic profiles of ``g``: each content's grammatical
+    messages times each message's grammatical readings, over the messages
+    with at least one."""
+    count = 1
+    for c in g.content_ids():
+        count *= len(g.messages_for(c))
+    for m in g.message_ids():
+        count *= len(g.contents_for(m)) or 1
+    return count
+
+
+def assert_cap_boundary(solve, g):
+    count = profile_count(g)
+    with pytest.raises(SizeLimitError) as refused:
+        solve(count - 1)
+    assert str(refused.value).startswith(
+        f"{count} deterministic profiles exceed the cap of {count - 1}"
+    )
+    solve(count)
+
+
+def test_the_cap_refuses_one_profile_over_and_admits_the_count():
+    rng = random.Random(3131)
+    for _ in range(10):
+        g = random_valid_game(rng, max_size=3)
+        assert_cap_boundary(lambda cap: predict(g, "prior", cap), g)
+
+
+def test_the_compound_cap_refuses_one_profile_over_and_admits_the_count():
+    rng = random.Random(3232)
+    for i in range(6):
+        flat = flatten(random_compound(rng, constrained=bool(i % 2)))
+        assert_cap_boundary(
+            lambda cap: enumerate_compound(flat, "prior", cap), flat.game
+        )
 
 
 def product_profiles(flat, pairs):

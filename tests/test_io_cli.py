@@ -1,6 +1,7 @@
 import json
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,11 @@ from meaning_games import (
     serialize_game,
     validate_game,
 )
+from meaning_games import cli
 from meaning_games.cli import main
 from generators import random_valid_game
+
+PINNED = Path(__file__).parent / "data"
 
 
 class TestLoadGame:
@@ -426,3 +430,43 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["unresolved_slots"] == ["u2_subj", "u2_obj"]
+
+    def test_table_output_skips_the_machine_rendering(
+        self, fig2_path, monkeypatch, capsys
+    ):
+        def refuse(report):
+            raise AssertionError("machine output rendered for a table run")
+
+        monkeypatch.setattr(cli, "render_machine", refuse)
+        assert main(["predict", "--game", str(fig2_path)]) == 0
+        assert "he: fred" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call_without_carrying_state(
+        self, man_him_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(man_him_path.parent)
+        parser = cli._parser()
+        code = main(
+            [
+                "resolve",
+                "--discourse",
+                "man_him.disc",
+                "--off-path",
+                "uniform",
+                "--cap",
+                "1000000000",
+                "--parallelism",
+                "0.5",
+                "--format",
+                "machine",
+            ]
+        )
+        assert code in (0, 3)
+        assert json.loads(capsys.readouterr().out)["args"]["parallelism"] == 0.5
+        with pytest.raises(SystemExit) as refused:
+            main(["predict"])
+        assert refused.value.code == 2
+        capsys.readouterr()
+        main(["resolve", "--discourse", "man_him.disc", "--format", "machine"])
+        assert capsys.readouterr().out == (PINNED / "resolve.man_him.json").read_text()
+        assert cli._parser() is parser
