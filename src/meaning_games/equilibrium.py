@@ -660,6 +660,19 @@ def predict(
     return _prediction(g, core.reports(core.pareto(pairs)))
 
 
+def _pareto_readings(
+    g: MeaningGame, rule: OffPathRule, cap: int | None, mid: str
+) -> set[str]:
+    """``predict(g, rule, cap).readings_of(mid)``, read off the Pareto
+    survivors' index pairs without building their reports."""
+    core, pairs = _search(g, rule, cap)
+    try:
+        i = core.used.index(core.mids.index(mid))
+    except ValueError:  # unknown, or no content may send it
+        return set()
+    return {core.cids[r[i]] for _, r in core.pareto(pairs)}
+
+
 def _per_message_cost(
     g: MeaningGame, costs: Mapping[tuple[str, str], float], sender_side: bool
 ) -> dict[str, float]:

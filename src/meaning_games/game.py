@@ -137,14 +137,17 @@ class MeaningGame:
             object.__setattr__(self, "edges", derived)
         else:
             object.__setattr__(self, "edges", frozenset(self.edges))
+        # Not fields: equality, repr and ``replace`` see only the above.
+        object.__setattr__(self, "_content_ids", tuple(c.id for c in self.contents))
+        object.__setattr__(self, "_message_ids", tuple(m.id for m in self.messages))
 
     # -- structure helpers -------------------------------------------------
 
     def content_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.contents)
+        return self._content_ids
 
     def message_ids(self) -> tuple[str, ...]:
-        return tuple(m.id for m in self.messages)
+        return self._message_ids
 
     def messages_for(self, cid: str) -> tuple[str, ...]:
         """Messages grammatical for a content, in game message order."""

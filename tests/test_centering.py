@@ -488,6 +488,89 @@ class TestResolveUnit:
             assert r.via.startswith("compound")
 
 
+def test_unknown_slot_candidate_raises_scenario_error(he_man_path):
+    from meaning_games import load_discourse
+
+    discourse = load_discourse(he_man_path)
+    second = discourse.utterances[1]
+    slot = second.slots()[0]
+    widened = replace(slot, candidates=slot.candidates + ("zed",))
+    utterance = replace(
+        second,
+        realizations=tuple(
+            widened if r is slot else r for r in second.realizations
+        ),
+    )
+    utterances = (discourse.utterances[0], utterance) + discourse.utterances[2:]
+    with pytest.raises(ScenarioError, match=f"slot {slot.id!r}.*'zed'"):
+        resolve(replace(discourse, utterances=utterances))
+
+
+class TestParetoReadings:
+    """The NP route reads readings off the core's Pareto pairs; they must be
+    the readings the public prediction gives, on every NP game built while
+    resolving, under both off-path rules."""
+
+    def discourses(self, he_man_path, man_him_path):
+        from meaning_games import load_discourse
+
+        rng = random.Random(808)
+        out = [random_strict_discourse(rng) for _ in range(30)]
+        out += [load_discourse(he_man_path), load_discourse(man_him_path)]
+        symmetric = ReferenceSlot(
+            "s",
+            GrammaticalFunction.SUBJECT,
+            "he",
+            (ExpressionOption("he", PRONOUN), ExpressionOption("him", PRONOUN)),
+            ("fred", "max"),
+        )
+        out.append(
+            Discourse(
+                dict(MALE_ENTITIES), (Utterance(1, (symmetric,)),), ResolutionConfig()
+            )
+        )
+        return out
+
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_agrees_with_predict(self, monkeypatch, he_man_path, man_him_path, rule):
+        from meaning_games import centering
+        from meaning_games.equilibrium import _pareto_readings, predict
+
+        built = []
+
+        def capture(state, slot, entities, config):
+            g = build_np_game(state, slot, entities, config)
+            built.append((g, slot.surface, config))
+            return g
+
+        monkeypatch.setattr(centering, "build_np_game", capture)
+        for discourse in self.discourses(he_man_path, man_him_path):
+            resolve(discourse, replace(discourse.config, off_path=rule))
+
+        assert len(built) > 30
+        tied = 0
+        for g, surface, config in built:
+            assert config.off_path == rule
+            expected = predict(g, rule, config.cap).readings_of(surface)
+            assert _pareto_readings(g, rule, config.cap, surface) == expected
+            tied += len(expected) > 1
+        assert tied > 0
+
+    def test_message_without_edges_has_no_reading(self):
+        from meaning_games.equilibrium import _pareto_readings, predict
+
+        config = ResolutionConfig()
+        state = DiscourseState.initial(["fred", "max"], config)
+        slot = man_slot("s", GrammaticalFunction.SUBJECT, "he")
+        she = ExpressionOption("she", PRONOUN, {"gender": "female"})
+        slot = replace(slot, options=slot.options + (she,))
+        g = build_np_game(state, slot, MALE_ENTITIES, config)
+        assert g.contents_for("she") == ()
+        for mid in ("she", "nobody"):
+            assert _pareto_readings(g, "prior", None, mid) == set()
+            assert predict(g).readings_of(mid) == set()
+
+
 class TestConfigContract:
     @pytest.mark.parametrize(
         "field",

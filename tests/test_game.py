@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +303,34 @@ class TestEqualizeUtilities:
                     mean = (utility(g, t, "S") + utility(g, t, "R")) / 2.0
                     assert utility(eq, t, "S") == pytest.approx(mean, abs=1e-12)
                     assert utility(eq, t, "R") == pytest.approx(mean, abs=1e-12)
+
+
+class TestIdTuples:
+    def test_repeated_calls_return_the_same_tuple(self):
+        g = pronoun_game()
+        assert g.content_ids() is g.content_ids()
+        assert g.message_ids() is g.message_ids()
+        assert g.content_ids() == ("fred", "max")
+        assert g.message_ids() == ("he", "the man")
+
+    def test_cached_ids_are_not_fields(self):
+        g = pronoun_game()
+        assert pronoun_game() == g
+        assert [f.name for f in fields(g)] == [
+            "contents", "messages", "prior", "utility", "edges"
+        ]
+        assert "_content_ids" not in repr(g)
+
+    def test_replace_reports_the_new_ids(self):
+        g = pronoun_game()
+        relabeled = replace(
+            g,
+            contents=(Content("max", "Max"), Content("fred", "Fred")),
+            messages=(Message("the man"), Message("he")),
+        )
+        assert relabeled.content_ids() == ("max", "fred")
+        assert relabeled.message_ids() == ("the man", "he")
+        assert g.content_ids() == ("fred", "max")
 
 
 class TestCheapTalk:
