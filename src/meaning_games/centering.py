@@ -386,6 +386,8 @@ def build_np_game(
     for cid in slot.candidates:
         if cid not in entities:
             raise ScenarioError(f"slot {slot.id!r} names unknown candidate {cid!r}")
+    if missing := [c for c in slot.candidates if c not in state.salience]:
+        raise InvalidGameError(f"slot {slot.id!r} has no salience for {missing}")
     scores = {c: state.salience[c] for c in slot.candidates}
     if len(scores) != len(slot.candidates):
         raise InvalidGameError(f"slot {slot.id!r} has duplicate candidates")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Mapping
 
@@ -257,15 +258,35 @@ class _Composite(_Compiled):
                 [mids.index(flat.message_components[mid][k]) for mid in self.mids],
                 g,
             ))
-        # The same indices per flat content and per flat message, slot by slot.
-        self.c_parts = list(zip(*(c_part for c_part, _, _ in self.slots)))
+        # The same indices per flat message, slot by slot.
         self.m_parts = list(zip(*(m_part for _, m_part, _ in self.slots)))
 
-    def admit(self, state: dict, m: int, a: int) -> dict | None:
-        """A receiver of a compound combines one map per slot: ``state``
-        is the induced per-slot map of the messages read so far, and
-        reading ``a`` at ``m`` is refused when it would stop being one."""
-        return _grow(state, self.m_parts[m], self.c_parts[a])
+    @cached_property
+    def reading_tables(self) -> list[tuple[list, dict]]:
+        # A receiver combines one map per slot: each reading agrees, slot by
+        # slot, with that of the first message sharing the slot's component.
+        used, links = self.used, [[] for _ in self.used]
+        for d, k, j in _slot_links([self.m_parts[m] for m in used]):
+            links[d].append((used[j], self.slots[k][0]))
+        tables: list[tuple[list, dict]] = [(link, {}) for link in links]
+        for m, (link, table) in zip(used, tables):
+            for a in self.contents_of[m]:
+                table.setdefault(tuple([part[a] for _, part in link]), []).append(a)
+        return tables
+
+    @cached_property
+    def sender_links(self) -> list[tuple[int, int, int]]:
+        return _slot_links(list(zip(*(c_part for c_part, _, _ in self.slots))))
+
+    def senders(self, *best_sets: list[int]):
+        """The sender maps of ``product(*best_sets)`` that combine slot strategies."""
+        if max(map(len, best_sets)) > 1:
+            return _linked_products(best_sets, self.sender_links, self.m_parts)
+        s, parts = next(zip(*best_sets)), self.m_parts
+        for c, k, j in self.sender_links:
+            if parts[s[c]][k] != parts[s[j]][k]:
+                return ()
+        return (s,)
 
     def off_path_key(self, m: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -325,66 +346,57 @@ def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
     return build
 
 
-def _grow(state: dict, key_parts, value_parts) -> dict | None:
-    """``state`` with slot ``k``'s component ``key_parts[k]`` mapped to
-    ``value_parts[k]`` for every slot, or None when one of them already
-    maps to another value: the induced per-slot maps must stay functions.
-    ``state`` maps each (slot, component) pair to its value."""
-    grown = dict(state)
-    for key, part in zip(enumerate(key_parts), value_parts):
-        if grown.setdefault(key, part) != part:
-            return None
-    return grown
+def _slot_links(keys) -> list[tuple[int, int, int]]:
+    """The triples ``(i, k, j)``, in order of ``i``, where ``j < i`` is the
+    first position of ``keys`` (tuples of slot components) whose slot-``k``
+    component is ``keys[i]``'s.
 
-
-def _per_slot_products(keys, options, parts):
-    """The tuples of ``itertools.product(*options)``, in its order, that
-    combine one strategy per slot.
-
-    A player of a compound game picks one strategy per constituent, so a
+    A player of a compound game picks one strategy per constituent, not a
     joint map that cross-codes one slot's content into another slot's
-    message is not available, even where it would be a best reply in the
-    flattened game.  Position ``i`` has slot components ``keys[i]``; a
-    choice ``x`` has slot components ``parts[x]``.  A tuple is kept when,
-    for every slot ``k``, positions that agree on ``keys[i][k]`` agree on
-    ``parts[x][k]``: the induced slot-``k`` map is a function.  A prefix is
-    dropped as soon as ``_grow`` refuses it.  The search draws the sender
-    maps this way; receivers go through ``_Composite.admit``, which applies
-    the same ``_grow`` one message at a time.
-    """
+    message.  A joint map combines one map per slot exactly when, for every
+    triple, its values at ``i`` and ``j`` share their slot-``k`` component."""
+    first: dict[tuple[int, int], int] = {}
+    return [
+        (i, k, j)
+        for i, key in enumerate(keys)
+        for k, part in enumerate(key)
+        if (j := first.setdefault((k, part), i)) < i
+    ]
 
-    def extend(i, state, chosen):
-        if i == len(keys):
-            yield chosen
+
+def _linked_products(options, links, parts):
+    """The tuples of ``itertools.product(*options)``, in its order, whose
+    choices' slot components ``parts[x]`` agree on ``links``; a prefix is
+    dropped as soon as its last choice disagrees."""
+    chosen = [0] * len(options)
+
+    def extend(i):
+        if i == len(options):
+            yield tuple(chosen)
             return
         for x in options[i]:
-            grown = _grow(state, keys[i], parts[x])
-            if grown is not None:
-                yield from extend(i + 1, grown, chosen + (x,))
+            if all(parts[x][k] == parts[chosen[j]][k] for h, k, j in links if h == i):
+                chosen[i] = x
+                yield from extend(i + 1)
 
-    return extend(0, {}, ())
+    return extend(0)
 
 
 def _factors(mapping: Mapping[str, str], key_parts, value_parts) -> bool:
     """Whether a string-keyed joint map combines one map per slot."""
-    keys = [key_parts[k] for k in mapping]
-    parts = [value_parts[v] for v in mapping.values()]
-    singletons = [[i] for i in range(len(parts))]
-    return next(_per_slot_products(keys, singletons, parts), None) is not None
+    values = [value_parts[v] for v in mapping.values()]
+    links = _slot_links([key_parts[k] for k in mapping])
+    return all(values[i][k] == values[j][k] for i, k, j in links)
 
 
 def product_sender_filter(flat: Flattened):
     """Admit only sender maps that factor through content components."""
-    return lambda smap: _factors(
-        smap, flat.content_components, flat.message_components
-    )
+    return lambda smap: _factors(smap, flat.content_components, flat.message_components)
 
 
 def product_receiver_filter(flat: Flattened):
     """Admit only receiver maps that factor through message components."""
-    return lambda rmap: _factors(
-        rmap, flat.message_components, flat.content_components
-    )
+    return lambda rmap: _factors(rmap, flat.message_components, flat.content_components)
 
 
 def _compound_search(flat: Flattened, rule: OffPathRule, cap: int | None):
@@ -392,9 +404,7 @@ def _compound_search(flat: Flattened, rule: OffPathRule, cap: int | None):
     equilibria, searched over per-slot strategy combinations."""
     core = _Composite(flat, rule)
     _check_size(core, cap)
-    return core, core.search(
-        lambda *best_sets: _per_slot_products(core.c_parts, best_sets, core.m_parts)
-    )
+    return core, core.search()
 
 
 def enumerate_compound(
@@ -404,7 +414,10 @@ def enumerate_compound(
     combinations, with component-consistent beliefs.
 
     Only receiver and sender maps that combine one strategy per slot are
-    visited; the flat game's profile count still has to pass the cap."""
+    visited: a reading is tried only where it agrees, slot by slot, with the
+    earlier readings its message is linked to, and a sender map only where
+    it agrees on the contents' links; the flat game's profile count still
+    has to pass the cap."""
     core, pairs = _compound_search(flat, rule, cap)
     return core.reports(pairs, composite_belief_builder(flat, rule))
 

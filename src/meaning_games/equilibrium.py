@@ -13,16 +13,16 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from math import prod
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
 from .game import (
+    SENDER,
     TOL,
     MeaningGame,
     Player,
     ReceiverStrategy,
     SenderStrategy,
-    _utility_unchecked,
     _validate_receiver,
     _validate_sender,
 )
@@ -213,13 +213,26 @@ class _Compiled:
         return self._utility_table("R")
 
     def _utility_table(self, player: Player) -> list[list[list[float | None] | None]]:
-        g, cids, mids = self.game, self.cids, self.mids
+        # The cells of ``_utility_unchecked``, with its expressions, from one
+        # receiver-cost row per message and an overlap bonus row per content.
+        u, cids, mids = self.game.utility, self.cids, self.mids
+        shared, i, overlap = u.shared, 0 if player == SENDER else 1, u.bonus_overlap
+        scost, rcost, hit = u.sender_cost, u.receiver_cost, (u.sender_bonus, u.receiver_bonus)
+        if overlap is not None:
+            bonuses = [[overlap.get((cid, x), (0.0, 0.0)) for x in cids] for cid in cids]
         table = [[None] * len(mids) for _ in cids]
-        for c, cid in enumerate(cids):
-            for m in self.messages_of[c]:
-                row = [None] * len(cids)
-                for a in self.contents_of[m]:
-                    row[a] = _utility_unchecked(g, cid, mids[m], cids[a], player)
+        for m, readings in enumerate(self.contents_of):
+            mid, costs = mids[m], []
+            for a in readings:  # cheaper than a comprehension on tiny games
+                costs.append(rcost[(mid, cids[a])])
+            for c in readings:
+                sc, row = scost[(cids[c], mid)], [None] * len(cids)
+                for a, rc in zip(readings, costs):
+                    bs, br = (hit if a == c else (0.0, 0.0)) if overlap is None else bonuses[c][a]
+                    if shared:
+                        row[a] = (bs + br) / 2.0 - (sc + rc) / 2.0
+                    else:
+                        row[a] = br - rc if i else bs - sc
                 table[c][m] = row
         return table
 
@@ -278,32 +291,32 @@ class _Compiled:
 
     # -- search ------------------------------------------------------------
 
-    # The receiver readings the search may combine.  ``admit(state, m, a)``
-    # gives the walk's state after reading ``a`` at ``m`` on top of
-    # ``state``, or None to prune the reading; the root state is an empty
-    # dict.  A plain game admits every reading, so it has no hook.
-    admit: Callable[[dict, int, int], dict | None] | None = None
+    # Per depth of ``used``, ``(link, table)``: the depth's readings are
+    # ``table.get(tuple(part[reading[x]] for x, part in link), ())``, given
+    # the readings above it.  A plain game allows every reading: no tables.
+    reading_tables: list[tuple[list, dict]] | None = None
+    # The sender maps drawn from the best-reply sets: a plain game's are all.
+    senders = staticmethod(itertools.product)
 
-    def search(
-        self, senders: Callable[..., Iterable[tuple[int, ...]]]
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def search(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The pure profiles that are mutual best responses, as sorted
         ``(sender, receiver)`` index tuples.
 
         The receiver maps are walked depth first, one message of ``used``
         per depth, in ``itertools.product`` order over the readings the
-        view's ``admit`` hook allows.  Per content the walk carries the
-        best sender value met so far and the messages that were within TOL
-        of it when met.  At a leaf each content's best-reply set is those
-        candidates within TOL of its final best: the running best never
-        exceeds the final one, so no best reply was passed over.
-        ``senders(*best_sets)`` yields the sender maps to check against the
-        leaf's receiver, which is checked against the view's Bayes rows and
-        off-path rows.
+        view's ``reading_tables`` allow, looked up when the walk enters a
+        depth.  Per content the walk carries the best sender value met so
+        far and the messages that were within TOL of it when met.  At a
+        leaf each content's best-reply set is those candidates within TOL
+        of its final best: the running best never exceeds the final one,
+        so no best reply was passed over.  The view's ``senders(*best_sets)``
+        yields the sender maps to check against the leaf's receiver, which
+        is checked against the view's Bayes rows and off-path rows.
         """
-        used, support, admit = self.used, self.support, self.admit
-        sender_u, off_path_key = self.sender_u, self.off_path_key
+        used, support, tables = self.used, self.support, self.reading_tables
+        sender_u, off_path_key, senders = self.sender_u, self.off_path_key, self.senders
         options = [self.contents_of[m] for m in used]
+        allowed = options[:]  # the readings to try at each depth
         last = len(used) - 1
         m_last = used[last]
         last_u = [sender_u[c][m_last] for c in range(len(self.cids))]
@@ -311,15 +324,14 @@ class _Compiled:
         best_replies: dict[tuple, set[int]] = {}
         reading = [None] * len(self.mids)
         # Per depth: the running bests and candidate messages before that
-        # depth's message is read, the admit state, and the next option.
+        # depth's message is read, and the next option.
         bests = [[float("-inf")] * len(self.cids)] + [None] * last
         cands: list = [[()] * len(self.cids)] + [None] * last
-        states: list = [{}] + [None] * last
         nxt = [0] * (last + 1)
         d = 0
         while d >= 0:
             i = nxt[d]
-            opts = options[d]
+            opts = allowed[d]
             if i == len(opts):
                 nxt[d] = 0
                 d -= 1
@@ -327,23 +339,21 @@ class _Compiled:
             nxt[d] = i + 1
             a = opts[i]
             m = used[d]
-            state = states[d]
-            if admit is not None:
-                state = admit(state, m, a)
-                if state is None:
-                    continue
             reading[m] = a
 
             if d < last:
                 best, cand = bests[d][:], cands[d][:]
-                for c in opts:
+                for c in options[d]:
                     v = sender_u[c][m][a]
                     if v >= best[c] - TOL:
                         cand[c] += (m,)
                         if v > best[c]:
                             best[c] = v
                 d += 1
-                bests[d], cands[d], states[d] = best, cand, state
+                bests[d], cands[d] = best, cand
+                if tables is not None:
+                    link, table = tables[d]
+                    allowed[d] = table.get(tuple([p[reading[x]] for x, p in link]), ())
                 continue
 
             best_sets = []
@@ -553,7 +563,7 @@ def _search(
     equilibria, searched over the full receiver and sender products."""
     core = _Compiled(g, rule)
     _check_size(core, cap)
-    return core, core.search(itertools.product)
+    return core, core.search()
 
 
 def enumerate_pure_equilibria(
@@ -570,11 +580,11 @@ def enumerate_pure_equilibria(
     of it when met; at each receiver map (a leaf) those candidates, kept
     within tolerance of the final best, are the content's best-reply set,
     and only senders drawn from those sets can pass, so the full profile
-    product is never materialized.  Compounds use the same walk, with an
-    ``admit`` hook that refuses readings no per-slot strategy combination
-    has.  The receiver's best replies at a message are memoized for the
-    call by the message's preimage under the pure sender.  Reports are
-    built only for the profiles that pass.
+    product is never materialized.  Compounds use the same walk over the
+    readings their per-depth tables allow (see ``enumerate_compound``).
+    The receiver's best replies at a message are memoized for the call by
+    the message's preimage under the pure sender.  Reports are built only
+    for the profiles that pass.
     """
     core, pairs = _search(g, rule, cap)
     return core.reports(pairs)

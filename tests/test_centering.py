@@ -305,6 +305,12 @@ class TestBuildNpGame:
         assert ("fred", "the girl") not in g.edges
         assert ("ann", "them") in g.edges
 
+    def test_candidate_missing_from_salience_rejected(self):
+        state = DiscourseState((), {"fred": 1.0})
+        slot = man_slot("u2", GrammaticalFunction.SUBJECT, "he")
+        with pytest.raises(InvalidGameError, match=r"'u2'.*'max'"):
+            build_np_game(state, slot, MALE_ENTITIES, self.config)
+
     def test_candidate_without_expression_rejected(self):
         entities = {
             "fred": Entity("fred", "Fred", {"gender": "male"}),

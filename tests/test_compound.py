@@ -8,13 +8,17 @@ from meaning_games import (
     CompatibilityRelation,
     CompoundGame,
     ConstituentGame,
+    Content,
     InvalidGameError,
+    MeaningGame,
+    Message,
     NotApplicableError,
     Prior,
     Profile,
     SenderStrategy,
     SizeLimitError,
     Slot,
+    UtilityModel,
     composite_belief_builder,
     constituent_expected_utility,
     enumerate_compound,
@@ -25,6 +29,7 @@ from meaning_games import (
     predict_compound,
     validate_game,
 )
+from meaning_games.compound import product_receiver_filter, product_sender_filter
 from generators import (
     message_cost_game,
     pronoun_game,
@@ -282,6 +287,141 @@ class TestFactoredSearch:
             }
             expected.add(as_key(smap, rmap))
         assert found and found == expected
+
+
+def shaped_constituent(rng, tag, n_contents, n_messages, shared, costs):
+    """Complete constituent of the given shape.  ``costs`` is "random",
+    "zero" or "equal"; the last two tie every message, so best-reply sets
+    hold several messages."""
+    cids = [f"{tag}c{i}" for i in range(n_contents)]
+    mids = [f"{tag}m{j}" for j in range(n_messages)]
+    weights = [rng.uniform(0.5, 2.0) for _ in cids]
+    prior = {c: w / sum(weights) for c, w in zip(cids, weights)}
+
+    def cost():
+        return {"random": rng.uniform(0.0, 1.0), "zero": 0.0, "equal": 0.4}[costs]
+
+    sender_cost = {(c, m): cost() for c in cids for m in mids}
+    receiver_cost = {(m, c): cost() for c in cids for m in mids}
+    bonus = rng.uniform(0.5, 2.0)
+    return MeaningGame(
+        tuple(Content(c) for c in cids),
+        tuple(Message(m) for m in mids),
+        Prior(prior),
+        UtilityModel(bonus, bonus if shared else rng.uniform(0.5, 2.0),
+                     sender_cost, receiver_cost, shared),
+    )
+
+
+def shaped_compound(rng, shapes, costs, constrained):
+    shared = rng.random() < 0.5
+    games = [
+        shaped_constituent(rng, tag, nc, nm, shared, cost)
+        for tag, (nc, nm), cost in zip("ab", shapes, costs)
+    ]
+    constituents = tuple(ConstituentGame(Slot(tag), g) for tag, g in zip("ab", games))
+    if not constrained:
+        return CompoundGame(constituents)
+    contents = list(itertools.product(*[g.content_ids() for g in games]))
+    messages = list(itertools.product(*[g.message_ids() for g in games]))
+    return CompoundGame(
+        constituents,
+        CompatibilityRelation(frozenset(rng.sample(messages, rng.randint(3, len(messages))))),
+        frozenset(rng.sample(contents, rng.randint(3, len(contents)))),
+    )
+
+
+def brute_force_compound(flat, rule):
+    """Every profile of per-slot strategy combinations that is a mutual
+    best response under composite beliefs, by exhaustive check."""
+    g = flat.game
+    cc, mc = flat.content_components, flat.message_components
+    senders = [
+        smap
+        for smap in all_maps({c: g.messages_for(c) for c in g.content_ids()})
+        if factors(smap, cc, mc)
+    ]
+    receivers = [
+        rmap
+        for rmap in all_maps(
+            {m: g.contents_for(m) for m in g.message_ids() if g.contents_for(m)}
+        )
+        if factors(rmap, mc, cc)
+    ]
+    beliefs = composite_belief_builder(flat, rule)
+    found = set()
+    for smap in senders:
+        system = beliefs(SenderStrategy.deterministic(smap))
+        for rmap in receivers:
+            if is_equilibrium(g, Profile.from_maps(smap, rmap), rule, system):
+                found.add(as_key(smap, rmap))
+    return found
+
+
+class TestTiedAndNonSquareCompounds:
+    """The search against brute force where best-reply sets tie and the
+    constituents are not square, so the multi-message sender draw and the
+    reading tables of uneven slots are both exercised."""
+
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    @pytest.mark.parametrize(
+        "shapes", [((3, 2), (2, 2)), ((2, 2), (2, 3))], ids=["3x2*2x2", "2x2*2x3"]
+    )
+    def test_search_matches_brute_force(self, rule, shapes):
+        rng = random.Random(61 + len(rule) + shapes[0][0])
+        costs = [("zero", "random"), ("random", "equal"), ("equal", "zero"),
+                 ("random", "random")]
+        checked = tied = zero_prior = 0
+        while checked < 8:
+            cg = shaped_compound(rng, shapes, costs[checked % 4], checked >= 4)
+            if checked % 3 == 0 and shapes[0] == (2, 2):
+                cg = with_zero_prior(cg)
+            try:
+                flat = flatten(cg)
+            except InvalidGameError:
+                continue
+            g = flat.game
+            zero_prior += any(g.prior[c] == 0.0 for c in g.content_ids())
+            expected = brute_force_compound(flat, rule)
+            found = [
+                as_key(r.sender_map(), r.receiver_map())
+                for r in enumerate_compound(flat, rule)
+            ]
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+            tied += len(found) > 1
+            checked += 1
+        assert tied
+        assert zero_prior or shapes[0] != (2, 2)
+
+
+class TestProductFilters:
+    def test_filters_agree_with_the_written_out_rule(self):
+        rng = random.Random(71)
+        checked = 0
+        refused = {"sender": 0, "receiver": 0}
+        while checked < 10:
+            cg = random_compound(rng, constrained=True)
+            try:
+                flat = flatten(cg)
+            except InvalidGameError:
+                continue
+            g = flat.game
+            cc, mc = flat.content_components, flat.message_components
+            sender_ok = product_sender_filter(flat)
+            receiver_ok = product_receiver_filter(flat)
+            smaps = list(all_maps({c: g.messages_for(c) for c in g.content_ids()}))
+            rmaps = list(all_maps(
+                {m: g.contents_for(m) for m in g.message_ids() if g.contents_for(m)}
+            ))
+            for smap in smaps:
+                assert sender_ok(smap) == factors(smap, cc, mc)
+                refused["sender"] += not factors(smap, cc, mc)
+            for rmap in rmaps:
+                assert receiver_ok(rmap) == factors(rmap, mc, cc)
+                refused["receiver"] += not factors(rmap, mc, cc)
+            checked += 1
+        assert all(refused.values())
 
 
 def with_zero_prior(cg):
