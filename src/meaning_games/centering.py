@@ -405,7 +405,8 @@ def build_np_game(
     sender_cost = {}
     receiver_cost = {}
     for cid in slot.candidates:
-        compatible = [o for o in slot.options if o.compatible(entities[cid])]
+        entity = entities[cid]
+        compatible = [o for o in slot.options if o.compatible(entity)]
         if not compatible:
             raise InvalidGameError(
                 f"candidate {cid!r} of slot {slot.id!r} has no grammatical expression"
@@ -432,6 +433,7 @@ def build_np_game(
             receiver_cost=receiver_cost,
             shared=True,
         ),
+        frozenset(sender_cost),  # both tables carry exactly the grammatical pairs
     )
 
 

@@ -30,6 +30,7 @@ from .errors import MeaningGameError, ScenarioError
 from .game import validate_game
 from .scenario_io import (
     RunReport,
+    _check_cap,
     config_hash,
     load_discourse,
     read_game_spec,
@@ -55,15 +56,22 @@ def _report_dict(r: EquilibriumReport) -> dict[str, Any]:
     }
 
 
+def _cap_text(text: str, source: str) -> int:
+    """The cap ``text`` spells; anything but a non-negative integer raises
+    ``ScenarioError`` naming ``source``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ScenarioError(f"{source}={text!r} is not an integer") from None
+    return _check_cap(value, f"{source}={text!r}")
+
+
 def _effective_cap(args, spec_cap: int | None) -> int | None:
     if args.cap is not None:
         return args.cap
     env = os.environ.get(ENV_CAP)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ScenarioError(f"{ENV_CAP}={env!r} is not an integer") from None
+        return _cap_text(env, ENV_CAP)
     return spec_cap
 
 
@@ -308,7 +316,7 @@ def _parser() -> argparse.ArgumentParser:
             "--format", choices=["table", "machine"], default="table", dest="format"
         )
         p.add_argument("--seed", type=int, default=None, help="seed echoed into reports")
-        p.add_argument("--cap", type=int, default=None, help="profile enumeration cap")
+        p.add_argument("--cap", default=None, help="profile enumeration cap")
         p.add_argument("--depth", type=int, default=4, help="level-k depth")
         p.add_argument("--out", type=Path, default=None, help="write machine output here")
         p.add_argument(
@@ -330,6 +338,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} requires --discourse")
     if args.command == "validate" and not (args.game or args.discourse):
         parser.error("validate requires --game or --discourse")
+
+    if args.cap is not None:
+        try:
+            args.cap = _cap_text(args.cap, "--cap")
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
     files = {}
     for path in (args.game, args.discourse):

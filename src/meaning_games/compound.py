@@ -209,13 +209,16 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
         (w * g.utility.sender_bonus, w * g.utility.receiver_bonus)
         for w, g in zip(weights, games)
     ]
-    overlap = {
-        (cid, aid): tuple(
-            sum(b[i] for b, x, y in zip(bonuses, ctup, atup) if x == y) for i in (0, 1)
-        )
-        for cid, ctup in content_components.items()
-        for aid, atup in content_components.items()
-    }
+    # Each pair's bonuses add up in slot order from 0, as ``sum`` would.
+    overlap = {}
+    for cid, ctup in content_components.items():
+        for aid, atup in content_components.items():
+            bs = br = 0
+            for (s, r), x, y in zip(bonuses, ctup, atup):
+                if x == y:
+                    bs += s
+                    br += r
+            overlap[(cid, aid)] = (bs, br)
 
     utility = UtilityModel(
         sender_bonus=sum(b for b, _ in bonuses),

@@ -147,13 +147,17 @@ class _Compiled:
         self.rule = rule
         self.cids = cids = g.content_ids()
         self.mids = mids = g.message_ids()
-        self.c_index = {c: i for i, c in enumerate(cids)}
+        self.c_index = c_index = {c: i for i, c in enumerate(cids)}
         self.prior = [g.prior[c] for c in cids]
         self.support = [c for c, p in enumerate(self.prior) if p > 0.0]
-        edges = g.edges
-        self.messages_of = [
-            [m for m, mid in enumerate(mids) if (cid, mid) in edges] for cid in cids
-        ]
+        # Edges naming an id outside the game (a stray cost entry) are ignored.
+        m_index = {mid: m for m, mid in enumerate(mids)}
+        self.messages_of = [[] for _ in cids]
+        for cid, mid in g.edges:
+            if cid in c_index and mid in m_index:
+                self.messages_of[c_index[cid]].append(m_index[mid])
+        for options in self.messages_of:
+            options.sort()
         self.contents_of = [[] for _ in mids]
         for c, options in enumerate(self.messages_of):
             for m in options:
@@ -242,11 +246,17 @@ class _Compiled:
 
     def receiver_values(self, m: int, row: list[tuple[int, float]]) -> list[float]:
         """Belief-expected receiver utility of each grammatical reading of
-        ``m``, in content order, against a belief row of (content, mass)."""
+        ``m``, in content order, against a belief row of (content, mass).
+        Each value adds the row's terms in row order, from 0.0."""
         u = self.receiver_u
-        return [
-            sum(p * u[c][m][a] for c, p in row if p > 0.0) for a in self.contents_of[m]
-        ]
+        values = []
+        for a in self.contents_of[m]:
+            v = 0.0
+            for c, p in row:
+                if p > 0.0:
+                    v += p * u[c][m][a]
+            values.append(v)
+        return values
 
     def receiver_best_set(self, m: int, row: list[tuple[int, float]]) -> set[int]:
         values = self.receiver_values(m, row)
@@ -306,12 +316,18 @@ class _Compiled:
         per depth, in ``itertools.product`` order over the readings the
         view's ``reading_tables`` allow, looked up when the walk enters a
         depth.  Per content the walk carries the best sender value met so
-        far and the messages that were within TOL of it when met.  At a
-        leaf each content's best-reply set is those candidates within TOL
-        of its final best: the running best never exceeds the final one,
-        so no best reply was passed over.  The view's ``senders(*best_sets)``
-        yields the sender maps to check against the leaf's receiver, which
-        is checked against the view's Bayes rows and off-path rows.
+        far and the messages that were within TOL of it when met: the
+        running best never exceeds the final one, so no best reply is
+        passed over.  Each content's best-reply set is its candidates
+        within TOL of its final best.  At the last depth those sets are
+        filtered once per parent node, and a leaf (a receiver map) filters
+        again only for the contents that can send the last message and
+        come within TOL of their running best there.  The view's
+        ``senders(*best_sets)`` yields the sender maps to check against the
+        leaf's receiver.  A message with one reading always passes; at the
+        others the receiver's best replies are memoized per message, keyed
+        by the bit mask of the positive-prior contents that send it, or off
+        the path by the view's ``off_path_key``.
         """
         used, support, tables = self.used, self.support, self.reading_tables
         sender_u, off_path_key, senders = self.sender_u, self.off_path_key, self.senders
@@ -319,9 +335,11 @@ class _Compiled:
         allowed = options[:]  # the readings to try at each depth
         last = len(used) - 1
         m_last = used[last]
-        last_u = [sender_u[c][m_last] for c in range(len(self.cids))]
+        movers = [(c, sender_u[c][m_last]) for c in options[last]]
+        checked = [x for x in used if len(self.contents_of[x]) > 1]
+        bits = [(c, 1 << c) for c in support]
+        best_replies: list[dict] = [{} for _ in self.mids]
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        best_replies: dict[tuple, set[int]] = {}
         reading = [None] * len(self.mids)
         # Per depth: the running bests and candidate messages before that
         # depth's message is read, and the next option.
@@ -356,36 +374,44 @@ class _Compiled:
                     allowed[d] = table.get(tuple([p[reading[x]] for x, p in link]), ())
                 continue
 
-            best_sets = []
-            for b, cand, u, row in zip(bests[d], cands[d], last_u, sender_u):
-                if u is not None:
-                    v = u[a]
-                    if v >= b - TOL:
-                        cand += (m,)
+            best, cand = bests[d], cands[d]
+            if i == 0:
+                # The sets of a leaf whose last message is no candidate.
+                held = []
+                for b, x_cand, row in zip(best, cand, sender_u):
+                    if len(x_cand) > 1:
+                        b -= TOL
+                        x_cand = [x for x in x_cand if row[x][reading[x]] >= b]
+                    held.append(x_cand)
+            best_sets = held[:]
+            for c, u in movers:
+                v, b = u[a], best[c]
+                if v >= b - TOL:
+                    x_cand = cand[c] + (m,)
+                    if len(x_cand) > 1:
                         if v > b:
                             b = v
-                if len(cand) > 1:
-                    b -= TOL
-                    cand = [x for x in cand if row[x][reading[x]] >= b]
-                best_sets.append(cand)
+                        b -= TOL
+                        row = sender_u[c]
+                        x_cand = [x for x in x_cand if row[x][reading[x]] >= b]
+                    best_sets[c] = x_cand
 
             for s in senders(*best_sets):
                 # A pure sender's posterior at x depends only on which
                 # positive-prior contents send x, and off the path only on
-                # the view's off-path key, so best replies are shared by
-                # every sender with the same key.  The preimages come from
-                # one pass over the support.
-                preimages: dict[int, tuple[int, ...]] = {}
-                for c in support:
-                    preimages[s[c]] = preimages.get(s[c], ()) + (c,)
-                for x in used:
-                    p = preimages.get(x, ())
-                    key = (x, p, None if p else off_path_key(x, s))
-                    best_set = best_replies.get(key)
-                    if best_set is None:
-                        best_set = self.receiver_best_set(x, self.bayes_row(*key))
-                        best_replies[key] = best_set
-                    if reading[x] not in best_set:
+                # the view's off-path key.
+                masks = [0] * len(reading)
+                for c, bit in bits:
+                    masks[s[c]] |= bit
+                for x in checked:
+                    mask = masks[x]
+                    key = mask if mask else off_path_key(x, s)
+                    replies = best_replies[x].get(key)
+                    if replies is None:
+                        preimage = tuple(c for c, bit in bits if mask & bit)
+                        replies = self.receiver_best_set(x, self.bayes_row(x, preimage, key))
+                        best_replies[x][key] = replies
+                    if reading[x] not in replies:
                         break
                 else:
                     found.append((s, tuple(reading[x] for x in used)))
@@ -582,9 +608,10 @@ def enumerate_pure_equilibria(
     and only senders drawn from those sets can pass, so the full profile
     product is never materialized.  Compounds use the same walk over the
     readings their per-depth tables allow (see ``enumerate_compound``).
-    The receiver's best replies at a message are memoized for the call by
-    the message's preimage under the pure sender.  Reports are built only
-    for the profiles that pass.
+    The receiver's best replies at a message with more than one reading
+    are memoized for the call per message, by the bit mask of the
+    positive-prior contents that send it (off the path, by the off-path
+    rule's key).  Reports are built only for the profiles that pass.
     """
     core, pairs = _search(g, rule, cap)
     return core.reports(pairs)

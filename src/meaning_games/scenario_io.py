@@ -107,6 +107,14 @@ def _prefixed(path, exc: ScenarioError) -> ScenarioError:
     return ScenarioError(f"{path}: {exc}")
 
 
+def _check_cap(value: Any, source: str) -> int:
+    """``value`` as a solver cap: a non-negative integer, not a bool.
+    Anything else raises ``ScenarioError`` naming ``source``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(f"{source}: cap must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A parsed game file: the game plus solver defaults it carries."""
@@ -181,6 +189,10 @@ def _parse_game(data: Mapping, path) -> GameSpec:
                     float(pair[1]),
                 )
 
+    shared = data.get("shared", False)
+    if not isinstance(shared, bool):
+        raise ScenarioError(f"{path}: shared must be true or false, got {shared!r}")
+
     game = MeaningGame(
         tuple(contents),
         tuple(messages),
@@ -190,7 +202,7 @@ def _parse_game(data: Mapping, path) -> GameSpec:
             receiver_bonus=receiver_bonus,
             sender_cost=sender_cost,
             receiver_cost=receiver_cost,
-            shared=bool(data.get("shared", False)),
+            shared=shared,
             bonus_overlap=overlap,
         ),
     )
@@ -200,7 +212,7 @@ def _parse_game(data: Mapping, path) -> GameSpec:
     off_path = str(data.get("off_path", "prior"))
     if off_path not in ("prior", "uniform"):
         raise ScenarioError(f"{path}: off_path must be 'prior' or 'uniform'")
-    cap = int(data["cap"]) if "cap" in data else None
+    cap = _check_cap(data["cap"], str(path)) if "cap" in data else None
     return GameSpec(game, off_path, cap, tuple(notes) + report.warnings)
 
 
@@ -256,7 +268,6 @@ _CONFIG_FIELDS = {
     "success_bonus": float,
     "parallelism_penalty": float,
     "off_path": str,
-    "cap": int,
 }
 
 
@@ -264,6 +275,8 @@ def _parse_config(data: Mapping, path) -> ResolutionConfig:
     """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
     cfg = data.get("config", {})
     fields = {k: parse(cfg[k]) for k, parse in _CONFIG_FIELDS.items() if k in cfg}
+    if "cap" in cfg:
+        fields["cap"] = _check_cap(cfg["cap"], f"{path}: config")
     with _named(path):
         if "boosts" in cfg:
             fields["boosts"] = dict(ResolutionConfig().boosts)

@@ -1,9 +1,12 @@
 """The compiled solver core against the brute-force oracle and pinned output.
 
-The equilibrium search runs on an integer-indexed view of the game and
-memoizes receiver best replies by message preimage; these tests check it
-report for report against ``oracle.py`` (maps, expected utilities, success,
-beliefs, Pareto survivors), check that ``predict`` and ``predict_compound``,
+The equilibrium search runs on an integer-indexed view of the game,
+filters the senders' best-reply sets at the last depth once per parent node,
+and memoizes receiver best replies per message by the bit mask of the
+contents that send it; these tests check it report for report against
+``oracle.py`` (maps, expected utilities, success, beliefs, Pareto
+survivors), including where the last message's values sit at the edges of
+the tolerance, check that ``predict`` and ``predict_compound``,
 which build reports only for the Pareto survivors, equal the filtered full
 enumeration, and pin the CLI's machine output for the bundled files.
 """
@@ -19,8 +22,12 @@ import pytest
 import oracle
 from generators import message_cost_game, random_compound, random_valid_game
 from meaning_games import (
+    Content,
+    MeaningGame,
+    Message,
     Prior,
     SizeLimitError,
+    UtilityModel,
     enumerate_pure_equilibria,
     equilibrium,
     flatten,
@@ -30,6 +37,7 @@ from meaning_games import (
 from meaning_games.cli import main
 from meaning_games.compound import enumerate_compound, predict_compound
 from meaning_games.equilibrium import _prediction
+from meaning_games.game import TOL
 
 BUNDLED = Path(__file__).parent.parent / "src" / "meaning_games" / "data"
 PINNED = Path(__file__).parent / "data"
@@ -165,6 +173,81 @@ def test_common_interest_games_with_unequal_bonuses_match_oracle(rule):
             smap, rmap = r.sender_map(), r.receiver_map()
             assert r.eu_sender == oracle.expected_utility(g, smap, rmap, "S")
             assert r.eu_receiver == oracle.expected_utility(g, smap, rmap, "R")
+
+
+# Offsets of a last-column cost from an earlier message's: exact ties, ties
+# nudged far inside the tolerance, and offsets just inside and just outside
+# it, so a leaf's last value sits at, just under or just over the running
+# best, and just above or just below the running best minus TOL.
+NUDGES = (0.0, 1e-12, -1e-12, TOL - 1e-12, TOL + 1e-12, 1e-12 - TOL, -1e-12 - TOL)
+
+
+def nudged_last_column(rng: random.Random, shared: bool):
+    """A 4x4 game with quarter-grid costs whose last message's costs copy
+    an earlier message's, per content, offset by one of ``NUDGES``.  Some
+    games give an earlier message a single reading, some contents no prior
+    mass."""
+    cids = [f"c{i}" for i in range(4)]
+    mids = [f"m{j}" for j in range(4)]
+    *earlier, last = mids
+    sender_cost = {(c, m): (1 + rng.randrange(5)) / 4 for c in cids for m in earlier}
+    receiver_cost = {(m, c): (1 + rng.randrange(5)) / 4 for c in cids for m in earlier}
+    for c in cids:
+        twin, nudge = rng.choice(earlier), rng.choice(NUDGES)
+        sender_cost[(c, last)] = sender_cost[(c, twin)] + nudge
+        # A shared game halves each cost, so both move to shift a value by
+        # the whole nudge.
+        nudge = nudge if shared else rng.choice(NUDGES)
+        receiver_cost[(last, c)] = receiver_cost[(twin, c)] + nudge
+    if rng.random() < 0.4:
+        single, keep = rng.choice(earlier), rng.choice(cids)
+        for c in cids:
+            if c != keep:
+                del sender_cost[(c, single)], receiver_cost[(single, c)]
+    weights = {c: float(rng.randint(1, 9)) for c in cids}
+    if rng.random() < 0.4:
+        for c in rng.sample(cids, rng.randint(1, 3)):
+            weights[c] = 0.0
+    return MeaningGame(
+        tuple(Content(c) for c in cids),
+        tuple(Message(m) for m in mids),
+        Prior.normalized(weights),
+        UtilityModel(1.0, 1.0, sender_cost, receiver_cost, shared),
+    )
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_last_message_at_the_tolerance_edges_matches_oracle(rule):
+    rng = random.Random(6161)
+    for i in range(16):
+        g = nudged_last_column(rng, shared=bool(i % 2))
+        assert_reports_match_oracle(g, enumerate_pure_equilibria(g, rule), rule)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_cost_entries_naming_unknown_ids_are_ignored(rule):
+    # A pair is an edge when both cost tables carry it, so stray entries
+    # for an unknown content or message become edges the solver skips.
+    rng = random.Random(5151)
+    for _ in range(20):
+        g = random_valid_game(rng, max_size=3)
+        u = g.utility
+        c0, m0 = g.content_ids()[0], g.message_ids()[0]
+        stray = [("ghost", m0), (c0, "phantom"), ("ghost", "phantom")]
+        haunted = replace(
+            g,
+            edges=None,
+            utility=replace(
+                u,
+                sender_cost={**u.sender_cost, **{e: 0.1 for e in stray}, ("wraith", m0): 0.0},
+                receiver_cost={**u.receiver_cost, **{(m, c): 0.2 for c, m in stray}},
+            ),
+        )
+        assert set(stray) < haunted.edges
+        assert repr(predict(haunted, rule)) == repr(predict(g, rule))
+        assert repr(enumerate_pure_equilibria(haunted, rule)) == repr(
+            enumerate_pure_equilibria(g, rule)
+        )
 
 
 def profile_count(g) -> int:

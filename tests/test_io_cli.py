@@ -230,6 +230,18 @@ GAME_SCHEMA_ERRORS = {
     "non_numeric_cost": lambda d: d["messages"][0].update(cost="abc"),
 }
 
+# Fields whose wrong type used to be coerced into a quiet wrong game: a
+# string "no" made the game common-interest and 1.5 or true became cap 1.
+MALFORMED_SHARED_OR_CAP = {
+    "shared_as_a_string": {"shared": "no"},
+    "shared_as_a_number": {"shared": 0},
+    "shared_as_null": {"shared": None},
+    "fractional_cap": {"cap": 1.5},
+    "boolean_cap": {"cap": True},
+    "negative_cap": {"cap": -1},
+    "cap_as_a_string": {"cap": "10"},
+}
+
 BAD_DISCOURSES = {
     "entity_without_id": lambda d: d["entities"][0].pop("id"),
     "negative_success_bonus": lambda d: d["config"].update(success_bonus=-1),
@@ -375,6 +387,65 @@ class TestCli:
         monkeypatch.setenv("MEANING_GAMES_CAP", "abc")
         assert main(["solve", "--game", str(fig2_path)]) == 1
         assert "error: MEANING_GAMES_CAP='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "true", "-1", "ten"])
+    def test_malformed_cap_flag_and_environment_exit_1(
+        self, fig2_path, capsys, monkeypatch, value
+    ):
+        assert main(["solve", "--game", str(fig2_path), "--cap", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --cap={value!r}")
+        assert "Traceback" not in err
+        monkeypatch.setenv("MEANING_GAMES_CAP", value)
+        assert main(["solve", "--game", str(fig2_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: MEANING_GAMES_CAP={value!r}")
+
+    def test_cap_flag_echoes_an_integer(self, fig2_path, capsys):
+        assert main(["solve", "--game", str(fig2_path), "--cap", "0"]) == 1
+        capsys.readouterr()
+        assert main(["solve", "--game", str(fig2_path), "--cap", "16"]) == 0
+        capsys.readouterr()
+        main(["solve", "--game", str(fig2_path), "--cap", "16", "--format", "machine"])
+        assert json.loads(capsys.readouterr().out)["args"]["cap"] == 16
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SHARED_OR_CAP))
+    def test_malformed_shared_or_cap_in_a_game_file(
+        self, fig2_path, tmp_path, capsys, case
+    ):
+        data = json.loads(fig2_path.read_text())
+        data.update(MALFORMED_SHARED_OR_CAP[case])
+        field = next(iter(MALFORMED_SHARED_OR_CAP[case]))
+        path = tmp_path / f"{case}.game"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=f"{field} must be"):
+            load_game(path)
+        assert main(["predict", "--game", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {field} must be")
+        assert "Traceback" not in err
+
+    def test_boolean_shared_and_integer_cap_load(self, fig2_path, tmp_path):
+        data = json.loads(fig2_path.read_text())
+        data.update(shared=False, cap=16)
+        spec = parse_game(data)
+        assert spec.cap == 16
+        assert not spec.game.utility.shared
+        del data["shared"]
+        assert not parse_game(data).game.utility.shared
+
+    @pytest.mark.parametrize("cap", [1.5, True, -1, "10", None])
+    def test_malformed_discourse_config_cap(self, he_man_path, tmp_path, capsys, cap):
+        data = json.loads(he_man_path.read_text())
+        data["config"]["cap"] = cap
+        path = tmp_path / "cap.disc"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="config: cap must be"):
+            load_discourse(path)
+        assert main(["resolve", "--discourse", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: config: cap must be")
+        data["config"]["cap"] = 1000
+        path.write_text(json.dumps(data))
+        assert load_discourse(path).config.cap == 1000
 
     def test_non_finite_prior_exit_code(self, tmp_path, capsys):
         path = tmp_path / "nan.game"
