@@ -28,17 +28,11 @@ MAX_DEPTH = 1000
 @dataclass(frozen=True)
 class LevelKConfig:
     depth: int = 4
-    level0_sender: str = "cheapest-grammatical"
-    level0_receiver: str = "prior-weighted-maximum"
     off_path: OffPathRule = "prior"
 
     def __post_init__(self):
         if not 0 <= self.depth <= MAX_DEPTH:
             raise InvalidGameError(f"depth must lie in 0..{MAX_DEPTH}")
-        if self.level0_sender != "cheapest-grammatical":
-            raise InvalidGameError(f"unknown level-0 sender {self.level0_sender!r}")
-        if self.level0_receiver != "prior-weighted-maximum":
-            raise InvalidGameError(f"unknown level-0 receiver {self.level0_receiver!r}")
 
 
 def _level0_sender_map(g: MeaningGame) -> dict[str, str]:
@@ -111,23 +105,19 @@ def level_k_strategies(
             )
         )
 
-    encodings = [
-        (tuple(sorted(s.items())), tuple(sorted(r.items()))) for s, r in levels
-    ]
-    fixed = None
-    for k in range(len(encodings) - 1):
-        if encodings[k] == encodings[k + 1]:
-            fixed = k
+    # Each level is a function of the one before it, so the first repeated
+    # profile is a fixed point exactly when it repeats the level just before.
+    fixed = cycle_start = cycle_period = None
+    seen: dict[tuple, int] = {}
+    for k, (s, r) in enumerate(levels):
+        enc = (tuple(sorted(s.items())), tuple(sorted(r.items())))
+        if enc in seen:
+            if seen[enc] == k - 1:
+                fixed = k - 1
+            else:
+                cycle_start, cycle_period = seen[enc], k - seen[enc]
             break
-    cycle_start = cycle_period = None
-    if fixed is None:
-        seen: dict[tuple, int] = {}
-        for k, enc in enumerate(encodings):
-            if enc in seen:
-                cycle_start = seen[enc]
-                cycle_period = k - seen[enc]
-                break
-            seen[enc] = k
+        seen[enc] = k
 
     return LevelKResult(
         tuple(

@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 from .compound import (
     CompatibilityRelation,
     CompoundGame,
-    CompoundPrediction,
     ConstituentGame,
     Slot,
     predict_compound,
@@ -177,6 +176,9 @@ class Utterance:
                 f"utterance {self.index}: at most one realization per "
                 "grammatical-function slot"
             )
+        slot_ids = [s.id for s in self.slots()]
+        if len(set(slot_ids)) != len(slot_ids):
+            raise InvalidGameError(f"utterance {self.index}: duplicate slot ids")
 
     def resolved(self) -> tuple[Realization, ...]:
         return tuple(r for r in self.realizations if isinstance(r, Realization))
@@ -546,21 +548,16 @@ def sentence_game_informative(g: MeaningGame) -> bool:
     weights = list(g.prior.weights.values())
     if max(weights) - min(weights) > TOL:
         return True
+    u = g.utility
     for m in g.message_ids():
-        costs = [
-            g.utility.sender_cost[(c, m)]
+        pairs = [
+            (u.sender_cost[(c, m)], u.receiver_cost[(m, c)])
             for c in g.content_ids()
             if (c, m) in g.edges
         ]
-        if costs and max(costs) - min(costs) > TOL:
-            return True
-        costs = [
-            g.utility.receiver_cost[(m, c)]
-            for c in g.content_ids()
-            if (c, m) in g.edges
-        ]
-        if costs and max(costs) - min(costs) > TOL:
-            return True
+        for costs in zip(*pairs):  # the sender's costs, then the receiver's
+            if max(costs) - min(costs) > TOL:
+                return True
     return False
 
 
@@ -666,12 +663,9 @@ def _resolve_slot_by_game(
 ) -> SlotResolution:
     game = build_np_game(state, slot, entities, config)
     readings = sorted(_pareto_readings(game, config.off_path, config.cap, slot.surface))
-    if len(readings) == 1:
-        return SlotResolution(
-            utterance_index, slot.id, slot.surface, readings[0], (), "np-game"
-        )
+    entity = readings.pop() if len(readings) == 1 else None
     return SlotResolution(
-        utterance_index, slot.id, slot.surface, None, tuple(readings), "np-game"
+        utterance_index, slot.id, slot.surface, entity, tuple(readings), "np-game"
     )
 
 
@@ -681,62 +675,38 @@ def _resolve_by_compound(
     slots: Mapping[str, ReferenceSlot],
     entities: Mapping[str, Entity],
     config: ResolutionConfig,
-) -> tuple[list[SlotResolution], CompoundPrediction]:
+) -> list[SlotResolution]:
+    """The section's slots resolved jointly: a slot resolves only when
+    exactly one joint reading of the uttered sentence survives; otherwise
+    each lists the referents the surviving readings give it."""
     cg = build_compound(state, section, slots, entities, config)
-    cp_result = predict_compound(cg, config.off_path, config.cap)
-    prediction = cp_result.prediction
-
-    observed_mid = None
-    for mid, mtup in cp_result.flattened.message_components.items():
-        if all(
-            mtup[1 + i] == slots[s].surface for i, s in enumerate(section.slot_ids)
-        ):
-            observed_mid = mid
-            break
-    if observed_mid is None:
+    result = predict_compound(cg, config.off_path, config.cap)
+    flat = result.flattened
+    uttered = tuple(slots[s].surface for s in section.slot_ids)
+    observed = [m for m, mtup in flat.message_components.items() if mtup[1:] == uttered]
+    if not observed:
         raise ScenarioError("observed joint message missing from the flattened game")
 
-    readings = sorted(prediction.readings_of(observed_mid))
+    readings = sorted(result.prediction.readings_of(observed[0]))
+    joint = [flat.content_components[r] for r in readings]
+    unique = len(joint) == 1
+    suboptimal = ()
+    if unique:
+        suboptimal = tuple(
+            a.slot_id for a in result.annotations[0] if not a.locally_optimal
+        )
     via = f"compound(parallelism={_parallelism_penalty(section, config)})"
     out = []
-    if len(readings) == 1:
-        ctup = cp_result.flattened.content_components[readings[0]]
-        suboptimal = tuple(
-            a.slot_id for a in cp_result.annotations[0] if not a.locally_optimal
+    for i, slot_id in enumerate(section.slot_ids, start=1):
+        referents = sorted({ctup[i] for ctup in joint})
+        entity = referents.pop() if unique else None
+        out.append(
+            SlotResolution(
+                section.utterance_index, slot_id, slots[slot_id].surface, entity,
+                tuple(referents), via, suboptimal,
+            )
         )
-        for i, slot_id in enumerate(section.slot_ids):
-            out.append(
-                SlotResolution(
-                    section.utterance_index,
-                    slot_id,
-                    slots[slot_id].surface,
-                    ctup[1 + i],
-                    (),
-                    via,
-                    suboptimal,
-                )
-            )
-    else:
-        for i, slot_id in enumerate(section.slot_ids):
-            alternatives = tuple(
-                sorted(
-                    {
-                        cp_result.flattened.content_components[r][1 + i]
-                        for r in readings
-                    }
-                )
-            )
-            out.append(
-                SlotResolution(
-                    section.utterance_index,
-                    slot_id,
-                    slots[slot_id].surface,
-                    None,
-                    alternatives,
-                    via,
-                )
-            )
-    return out, cp_result
+    return out
 
 
 def resolve(discourse: Discourse, config: ResolutionConfig | None = None) -> ResolveReport:
@@ -744,12 +714,12 @@ def resolve(discourse: Discourse, config: ResolutionConfig | None = None) -> Res
 
     Slots are resolved against the state before their utterance.  When an
     utterance carries a compound section whose sentence game is informative
-    (parallelism or extralinguistic context in play), its slots are
-    resolved jointly through the flattened compound, restricted to the
-    sentence actually uttered; otherwise each slot is its own reference
-    game.  Predictions that disagree about the used expression are reported
-    as unresolved with their alternatives.  After an utterance resolves,
-    its realizations update salience, and each committed reference is
+    (parallelism or extralinguistic context in play), the section's slots
+    are resolved jointly through the flattened compound, restricted to the
+    sentence actually uttered; every other slot is its own reference game.
+    Predictions that disagree about the used expression are reported as
+    unresolved with their alternatives.  After an utterance resolves, its
+    realizations update salience, and each committed reference is
     accommodated with the boost of its expression form.
     """
     config = config or discourse.config
@@ -758,48 +728,37 @@ def resolve(discourse: Discourse, config: ResolutionConfig | None = None) -> Res
     resolutions: list[SlotResolution] = []
 
     for u in discourse.utterances:
-        slot_results: dict[str, SlotResolution] = {}
-        if not u.is_resolved():
-            slots = {s.id: s for s in u.slots()}
-            section = discourse.compounds.get(u.index)
-            use_compound = False
-            if section is not None:
-                if set(section.slot_ids) - set(slots):
-                    raise ScenarioError(
-                        f"compound section of utterance {u.index} references "
-                        "slots the utterance does not contain"
-                    )
-                sentence_game = build_sentence_game(state, section, slots, config)
-                use_compound = sentence_game_informative(sentence_game)
-            if use_compound:
-                compound_results, _ = _resolve_by_compound(
-                    state, section, slots, discourse.entities, config
+        slots = {s.id: s for s in u.slots()}
+        by_slot: dict[str, SlotResolution] = {}
+        section = discourse.compounds.get(u.index) if slots else None
+        if section is not None:
+            if set(section.slot_ids) - set(slots):
+                raise ScenarioError(
+                    f"compound section of utterance {u.index} references "
+                    "slots the utterance does not contain"
                 )
-                slot_results.update({r.slot_id: r for r in compound_results})
-                leftover = [s for s in u.slots() if s.id not in slot_results]
-            else:
-                leftover = list(u.slots())
-            for slot in leftover:
-                slot_results[slot.id] = _resolve_slot_by_game(
+            if sentence_game_informative(
+                build_sentence_game(state, section, slots, config)
+            ):
+                for r in _resolve_by_compound(
+                    state, section, slots, discourse.entities, config
+                ):
+                    by_slot[r.slot_id] = r
+        for slot in slots.values():
+            if slot.id not in by_slot:
+                by_slot[slot.id] = _resolve_slot_by_game(
                     state, slot, discourse.entities, config, u.index
                 )
-            resolutions.extend(slot_results[s.id] for s in u.slots())
+        resolutions.extend(by_slot[s] for s in slots)
 
         items: list[Realization | ReferenceSlot] = []
         committed: list[Realization] = []
         for item in u.realizations:
-            if isinstance(item, Realization):
-                items.append(item)
-                continue
-            result = slot_results[item.id]
-            if result.resolved:
-                realization = Realization(
-                    result.entity, item.function, item.used_option().form, item.surface
-                )
-                items.append(realization)
-                committed.append(realization)
-            else:
-                items.append(item)
+            if isinstance(item, ReferenceSlot) and by_slot[item.id].resolved:
+                entity, form = by_slot[item.id].entity, item.used_option().form
+                item = Realization(entity, item.function, form, item.surface)
+                committed.append(item)
+            items.append(item)
         ru = Utterance(u.index, tuple(items))
         resolved_utterances.append(ru)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .centering import (
     DEFAULT_FORM_COSTS,
     validate_form_costs,
 )
-from .errors import ScenarioError
+from .errors import InvalidGameError, ScenarioError
 from .game import (
     TOL,
     Content,
@@ -105,6 +106,15 @@ def _from_tag(kind, tag: str, path):
 def _prefixed(path, exc: ScenarioError) -> ScenarioError:
     """``exc``'s message prefixed with the file's name."""
     return ScenarioError(f"{path}: {exc}")
+
+
+def _section_number(value: Any, name: str, path) -> float:
+    """A compound section's ``value`` as a finite, non-negative float;
+    anything else raises ``ScenarioError`` naming the file."""
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise ScenarioError(f"{path}: {name} must be finite and >= 0, got {value!r}")
+    return number
 
 
 def _check_cap(value: Any, source: str) -> int:
@@ -360,19 +370,40 @@ def _parse_discourse(data: Mapping, path) -> Discourse:
             slot = ReferenceSlot(slot_id, function, surface, options, candidates)
             slot.used_option()  # surface must be among the options
             items.append(slot)
-        utterances.append(Utterance(index, tuple(items)))
+        try:
+            utterances.append(Utterance(index, tuple(items)))
+        except InvalidGameError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
 
     compounds = {}
     for entry in data.get("compounds", []):
-        index = int(_require(entry, "utterance", path))
+        index = _require(entry, "utterance", path)
+        if type(index) is not int or not 1 <= index <= len(utterances):
+            raise ScenarioError(
+                f"{path}: compound utterance must be the integer index of a "
+                f"listed utterance, got {index!r}"
+            )
+        if index in compounds:
+            raise ScenarioError(
+                f"{path}: more than one compound section for utterance {index}"
+            )
         slot_ids = tuple(str(s) for s in _require(entry, "slots", path))
+        listed = {s.id for s in utterances[index - 1].slots()}
+        if len(set(slot_ids)) != len(slot_ids) or not listed.issuperset(slot_ids):
+            raise ScenarioError(
+                f"{path}: compound section of utterance {index} must name "
+                f"distinct slots of that utterance, got {list(slot_ids)}"
+            )
         propositions = tuple(
             PropositionOption(
                 str(p["id"]),
                 str(p.get("label", p["id"])),
                 {str(k): str(v) for k, v in _require(p, "assigns", path).items()},
-                float(p.get("prior", 1.0)),
-                {str(k): float(v) for k, v in p.get("cost_overrides", {}).items()},
+                _section_number(p.get("prior", 1.0), "prior", path),
+                {
+                    str(k): _section_number(v, "cost override", path)
+                    for k, v in p.get("cost_overrides", {}).items()
+                },
             )
             for p in _require(entry, "propositions", path)
         )
@@ -381,7 +412,7 @@ def _parse_discourse(data: Mapping, path) -> Discourse:
                 str(s["id"]),
                 str(s.get("label", s["id"])),
                 {str(k): str(v) for k, v in _require(s, "parts", path).items()},
-                float(s.get("cost", 0.0)),
+                _section_number(s.get("cost", 0.0), "sentence cost", path),
             )
             for s in _require(entry, "sentences", path)
         )
@@ -398,12 +429,10 @@ def _parse_discourse(data: Mapping, path) -> Discourse:
                     f"slots {list(slot_ids)}"
                 )
         penalty = entry.get("parallelism_penalty")
+        if penalty is not None:
+            penalty = _section_number(penalty, "parallelism penalty", path)
         compounds[index] = CompoundSection(
-            index,
-            slot_ids,
-            propositions,
-            sentences,
-            None if penalty is None else float(penalty),
+            index, slot_ids, propositions, sentences, penalty
         )
 
     return Discourse(entities, tuple(utterances), config, compounds)

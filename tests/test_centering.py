@@ -141,6 +141,17 @@ def test_one_realization_per_function_slot():
         )
 
 
+def test_one_slot_per_id():
+    with pytest.raises(InvalidGameError, match="duplicate slot ids"):
+        Utterance(
+            2,
+            (
+                man_slot("s", GrammaticalFunction.SUBJECT, "he"),
+                man_slot("s", GrammaticalFunction.OTHER_COMPLEMENT, "the man"),
+            ),
+        )
+
+
 class TestRule1:
     def test_matched_resolution_is_clean(self):
         u1 = scolding_utterance()
@@ -492,6 +503,71 @@ class TestResolveUnit:
             assert r.entity is None
             assert set(r.alternatives) == {"fred", "max"}
             assert r.via.startswith("compound")
+
+    def test_slot_outside_the_section_takes_its_own_game(self):
+        from meaning_games import CompoundSection, PropositionOption, SentenceOption
+
+        subj = man_slot("subj", GrammaticalFunction.SUBJECT, "he")
+        obj = man_slot("obj", GrammaticalFunction.OTHER_COMPLEMENT, "the man")
+        # The section names only the second slot; its priors make it informative.
+        section = CompoundSection(
+            2,
+            ("obj",),
+            (
+                PropositionOption("p1", "p1", {"obj": "max"}, 0.9),
+                PropositionOption("p2", "p2", {"obj": "fred"}, 0.1),
+            ),
+            (
+                SentenceOption("s1", "s1", {"obj": "the man"}),
+                SentenceOption("s2", "s2", {"obj": "he"}),
+            ),
+        )
+        discourse = Discourse(
+            MALE_ENTITIES,
+            (scolding_utterance(), Utterance(2, (subj, obj))),
+            ResolutionConfig(),
+            {2: section},
+        )
+        report = resolve(discourse)
+        assert [r.slot_id for r in report.resolutions] == ["subj", "obj"]
+        by_slot = {r.slot_id: r for r in report.resolutions}
+        assert by_slot["subj"].via == "np-game"
+        assert by_slot["obj"].via.startswith("compound")
+        assert report.assignment() == {"he": "fred", "the man": "max"}
+
+    def test_compound_tie_with_agreeing_referents_stays_unresolved(self):
+        from meaning_games import CompoundSection, PropositionOption, SentenceOption
+
+        subj = man_slot("subj", GrammaticalFunction.SUBJECT, "the man")
+        obj = man_slot("obj", GrammaticalFunction.OTHER_COMPLEMENT, "he")
+        assigns = {"subj": "fred", "obj": "max"}
+        # Two propositions with the same referents tie at the uttered
+        # sentence; the unuttered one tells them apart, so the compound engages.
+        section = CompoundSection(
+            2,
+            ("subj", "obj"),
+            (
+                PropositionOption("p1", "p1", assigns, 1.0, {"s2": 0.1}),
+                PropositionOption("p2", "p2", assigns, 1.0, {"s2": 0.5}),
+            ),
+            (
+                SentenceOption("s1", "s1", {"subj": "the man", "obj": "he"}),
+                SentenceOption("s2", "s2", {"subj": "he", "obj": "the man"}),
+            ),
+            parallelism_penalty=0.0,
+        )
+        discourse = Discourse(
+            MALE_ENTITIES, (Utterance(2, (subj, obj)),), ResolutionConfig(), {2: section}
+        )
+        report = resolve(discourse)
+        assert not report.fully_resolved
+        assert [(r.slot_id, r.entity, r.alternatives) for r in report.resolutions] == [
+            ("subj", None, ("fred",)),
+            ("obj", None, ("max",)),
+        ]
+        for r in report.resolutions:
+            assert r.via.startswith("compound")
+            assert r.locally_suboptimal == ()
 
 
 def test_unknown_slot_candidate_raises_scenario_error(he_man_path):

@@ -257,6 +257,49 @@ BAD_DISCOURSES = {
 }
 
 
+def _section(d):
+    return d["compounds"][0]
+
+
+def _rename_section_slot(d, old, new):
+    """Rename a slot in the section only, consistently across its parts."""
+    section = _section(d)
+    section["slots"] = [new if s == old else s for s in section["slots"]]
+    for table in [p["assigns"] for p in section["propositions"]] + [
+        s["parts"] for s in section["sentences"]
+    ]:
+        table[new] = table.pop(old)
+
+
+# Malformed compound sections and slot ids, applied to man_him.disc.
+BAD_SECTIONS = {
+    "nan_parallelism_penalty": lambda d: _section(d).update(
+        parallelism_penalty=float("nan")
+    ),
+    "negative_parallelism_penalty": lambda d: _section(d).update(parallelism_penalty=-5),
+    "nan_sentence_cost": lambda d: _section(d)["sentences"][0].update(cost=float("nan")),
+    "nan_cost_override": lambda d: _section(d)["propositions"][0].update(
+        cost_overrides={"man_angry_him": float("nan")}
+    ),
+    "nan_prior": lambda d: _section(d)["propositions"][0].update(prior=float("nan")),
+    "inf_prior": lambda d: _section(d)["propositions"][0].update(prior=float("inf")),
+    "negative_prior": lambda d: _section(d)["propositions"][0].update(prior=-0.5),
+    "fractional_utterance": lambda d: _section(d).update(utterance=2.7),
+    "boolean_utterance": lambda d: _section(d).update(utterance=True),
+    "string_utterance": lambda d: _section(d).update(utterance="2"),
+    "unlisted_utterance": lambda d: _section(d).update(utterance=9),
+    "repeated_section": lambda d: d["compounds"].append(
+        json.loads(json.dumps(_section(d)))
+    ),
+    "unlisted_section_slot": lambda d: _rename_section_slot(d, "u2_obj", "u2_zzz"),
+    "repeated_section_slot": lambda d: _section(d)["slots"].append("u2_obj"),
+    "section_on_resolved_utterance": lambda d: _section(d).update(utterance=1),
+    "duplicate_slot_id": lambda d: d["utterances"][1]["realizations"][1].update(
+        slot="u2_subj"
+    ),
+}
+
+
 class TestCli:
     def test_predict_bundled_game(self, fig2_path, capsys):
         code = main(["predict", "--game", str(fig2_path)])
@@ -493,6 +536,20 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["resolve", "--discourse", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command", ["resolve", "compound"])
+    @pytest.mark.parametrize("case", sorted(BAD_SECTIONS))
+    def test_bad_section_fails_cleanly(
+        self, man_him_path, tmp_path, capsys, case, command
+    ):
+        data = json.loads(man_him_path.read_text())
+        BAD_SECTIONS[case](data)
+        path = tmp_path / f"{case}.disc"
+        path.write_text(json.dumps(data))
+        assert main([command, "--discourse", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
     def test_validate_discourse(self, he_man_path, capsys):
         code = main(
