@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,63 +65,80 @@ def _read_json(path: str | Path) -> dict:
     return data
 
 
-def _require(data: Mapping, key: str, path) -> Any:
-    if key not in data:
-        raise ScenarioError(f"{path}: missing required field {key!r}")
-    return data[key]
-
-
 @contextmanager
 def _schema_errors(path):
-    """Report a missing key, or a value of the wrong type or form, as a
-    ``ScenarioError`` naming the file."""
+    """Report every load error as a ``ScenarioError`` naming the file: a missing
+    key, a malformed value, and any ``ScenarioError`` or ``InvalidGameError``."""
     try:
         yield
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing required field {exc.args[0]!r}") from exc
+    except (ScenarioError, InvalidGameError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise ScenarioError(f"{path}: malformed field: {exc}") from exc
 
 
-@contextmanager
-def _named(path):
-    """Prefix a ``ScenarioError`` raised by a check that does not know the
-    file with the file's name."""
-    try:
-        yield
-    except ScenarioError as exc:
-        raise _prefixed(path, exc) from exc
+def _refused(value: Any, expected: str, where: str, at: tuple, field: str):
+    """The error of a reader below that refused ``value``, naming its field by the
+    path from the top of the file (as in ``utterances[1]: realizations[0]: cost``):
+    ``where + field`` filled in with ``at``, so a good file pays for no formatting."""
+    path = (where + field).format(*at)
+    return ScenarioError(f"{path} must be {expected}, got {value!r}")
 
 
-def _from_tag(kind, tag: str, path):
-    """``kind.from_tag(tag)``, with an unknown tag's error naming the file.
-    Parsing calls this per realization, where a ``_named`` block would cost
-    a generator each time."""
-    try:
-        return kind.from_tag(tag)
-    except ScenarioError as exc:
-        raise _prefixed(path, exc) from exc
+def _number(value: Any, where: str, at=(), field="", minimum=None) -> float:
+    """``value`` as a float: a finite JSON number, not a bool, >= ``minimum``."""
+    number = value
+    if type(value) is int and abs(value) <= sys.float_info.max:  # else float() fails
+        number = float(value)
+    if type(number) is float and number - number == 0:  # not NaN or an infinity
+        if minimum is None or number >= minimum:
+            return number
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise _refused(value, f"a finite number{bound}", where, at, field)
 
 
-def _prefixed(path, exc: ScenarioError) -> ScenarioError:
-    """``exc``'s message prefixed with the file's name."""
-    return ScenarioError(f"{path}: {exc}")
+def _ident(value: Any, where: str, at=(), field="") -> str:
+    """``value`` as a JSON string: an id, label, tag or feature value."""
+    if type(value) is str:
+        return value
+    raise _refused(value, "a string", where, at, field)
 
 
-def _section_number(value: Any, name: str, path) -> float:
-    """A compound section's ``value`` as a finite, non-negative float;
-    anything else raises ``ScenarioError`` naming the file."""
-    number = float(value)
-    if not (math.isfinite(number) and number >= 0):
-        raise ScenarioError(f"{path}: {name} must be finite and >= 0, got {value!r}")
-    return number
+def _idents(value: Any, where: str, at: tuple, field: str, length=None) -> tuple:
+    """``value`` as a tuple: a JSON array of strings, ``length`` long if given."""
+    if type(value) in (list, tuple) and (length is None or len(value) == length):
+        for v in value:
+            if type(v) is not str:
+                break
+        else:
+            return tuple(value)
+    size = "" if length is None else f" of {length}"
+    raise _refused(value, f"an array{size} of strings", where, at, field)
 
 
-def _check_cap(value: Any, source: str) -> int:
-    """``value`` as a solver cap: a non-negative integer, not a bool.
-    Anything else raises ``ScenarioError`` naming ``source``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ScenarioError(f"{source}: cap must be a non-negative integer, got {value!r}")
+def _ident_map(value: Any, where: str, at: tuple, field: str) -> dict[str, str]:
+    """``value`` as a dict: a JSON object whose values are strings."""
+    if type(value) is dict:
+        for v in value.values():
+            if type(v) is not str:
+                break
+        else:
+            return dict(value)
+    raise _refused(value, "an object of strings", where, at, field)
+
+
+def _id_label(entry: Mapping, where: str, at: tuple) -> tuple[str, str]:
+    """``entry``'s id, and its label, which defaults to the id."""
+    eid = _ident(entry["id"], where, at, "id")
+    return eid, _ident(entry.get("label", eid), where, at, "label")
+
+
+def _check_cap(value: Any, where: str) -> int:
+    """``value`` as a solver cap: a non-negative integer, not a bool."""
+    if type(value) is not int or value < 0:
+        raise ScenarioError(f"{where} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -137,71 +154,77 @@ class GameSpec:
 
 def parse_game(data: Mapping, path: str | Path = "<game>") -> GameSpec:
     with _schema_errors(path):
-        return _parse_game(data, path)
+        spec, notes = _parse_game(data)
+    for note in notes:
+        warnings.warn(f"{path}: {note}")
+    return spec
 
 
-def _parse_game(data: Mapping, path) -> GameSpec:
-    contents = []
-    for entry in _require(data, "contents", path):
-        contents.append(Content(str(entry["id"]), str(entry.get("label", ""))))
+def _parse_game(data: Mapping) -> tuple[GameSpec, list[str]]:
+    """The spec ``data`` describes, and notes on what loading changed."""
+    contents = [
+        Content(*_id_label(entry, "contents[{}]: ", (i,)))
+        for i, entry in enumerate(data["contents"])
+    ]
     messages = []
     per_message_cost = {}
-    for entry in _require(data, "messages", path):
-        mid = str(entry["id"])
-        messages.append(Message(mid, str(entry.get("label", ""))))
+    for i, entry in enumerate(data["messages"]):
+        messages.append(Message(*_id_label(entry, "messages[{}]: ", (i,))))
         if "cost" in entry:
-            per_message_cost[mid] = float(entry["cost"])
+            cost = _number(entry["cost"], "messages[{}]: ", (i,), "cost")
+            per_message_cost[messages[-1].id] = cost
 
-    raw_prior = {str(k): float(v) for k, v in _require(data, "prior", path).items()}
+    raw_prior = {c: _number(w, "prior[{!r}]", (c,)) for c, w in data["prior"].items()}
     notes = []
     total = sum(raw_prior.values())
     if total <= 0:
-        raise ScenarioError(f"{path}: prior weights must have positive total mass")
+        raise ScenarioError("prior weights must have positive total mass")
     if abs(total - 1.0) > TOL:
         notes.append(f"prior weights sum to {total}; normalized")
-        warnings.warn(f"{path}: {notes[-1]}")
         raw_prior = {k: v / total for k, v in raw_prior.items()}
     prior = Prior(raw_prior)
 
     bonus = data.get("success_bonus", 1.0)
     if isinstance(bonus, Mapping):
-        sender_bonus = float(bonus.get("sender", 1.0))
-        receiver_bonus = float(bonus.get("receiver", 1.0))
+        sender_bonus = _number(bonus.get("sender", 1.0), "success_bonus: sender")
+        receiver_bonus = _number(bonus.get("receiver", 1.0), "success_bonus: receiver")
     else:
-        sender_bonus = receiver_bonus = float(bonus)
+        sender_bonus = receiver_bonus = _number(bonus, "success_bonus")
 
-    excluded = {(str(c), str(m)) for c, m in data.get("exclude", [])}
+    excluded = {
+        _idents(pair, "exclude[{}]", (i,), "", 2)
+        for i, pair in enumerate(data.get("exclude", []))
+    }
     sender_cost: dict[tuple[str, str], float] = {}
     receiver_cost: dict[tuple[str, str], float] = {}
     for c in contents:
         for m in messages:
-            if (c.id, m.id) in excluded:
-                continue
-            if m.id in per_message_cost:
+            if (c.id, m.id) not in excluded and m.id in per_message_cost:
                 sender_cost[(c.id, m.id)] = per_message_cost[m.id]
                 receiver_cost[(m.id, c.id)] = per_message_cost[m.id]
     for cid, row in data.get("sender_costs", {}).items():
         for mid, cost in row.items():
-            if (str(cid), str(mid)) not in excluded:
-                sender_cost[(str(cid), str(mid))] = float(cost)
+            cost = _number(cost, "sender_costs[{!r}][{!r}]", (cid, mid))
+            if (cid, mid) not in excluded:
+                sender_cost[(cid, mid)] = cost
     for mid, row in data.get("receiver_costs", {}).items():
         for cid, cost in row.items():
-            if (str(cid), str(mid)) not in excluded:
-                receiver_cost[(str(mid), str(cid))] = float(cost)
+            cost = _number(cost, "receiver_costs[{!r}][{!r}]", (mid, cid))
+            if (cid, mid) not in excluded:
+                receiver_cost[(mid, cid)] = cost
 
     overlap = None
     if "bonus_overlap" in data:
-        overlap = {}
-        for intended, row in data["bonus_overlap"].items():
-            for interpreted, pair in row.items():
-                overlap[(str(intended), str(interpreted))] = (
-                    float(pair[0]),
-                    float(pair[1]),
-                )
+        w = "bonus_overlap[{!r}][{!r}]"
+        overlap = {
+            (a, b): (_number(s, w, (a, b), "[0]"), _number(r, w, (a, b), "[1]"))
+            for a, row in data["bonus_overlap"].items()
+            for b, (s, r) in row.items()
+        }
 
     shared = data.get("shared", False)
     if not isinstance(shared, bool):
-        raise ScenarioError(f"{path}: shared must be true or false, got {shared!r}")
+        raise ScenarioError(f"shared must be true or false, got {shared!r}")
 
     game = MeaningGame(
         tuple(contents),
@@ -218,12 +241,12 @@ def _parse_game(data: Mapping, path) -> GameSpec:
     )
     report = validate_game(game)
     if report.errors:
-        raise ScenarioError(f"{path}: invalid game: " + "; ".join(report.errors))
-    off_path = str(data.get("off_path", "prior"))
+        raise ScenarioError("invalid game: " + "; ".join(report.errors))
+    off_path = data.get("off_path", "prior")
     if off_path not in ("prior", "uniform"):
-        raise ScenarioError(f"{path}: off_path must be 'prior' or 'uniform'")
-    cap = _check_cap(data["cap"], str(path)) if "cap" in data else None
-    return GameSpec(game, off_path, cap, tuple(notes) + report.warnings)
+        raise ScenarioError("off_path must be 'prior' or 'uniform'")
+    cap = _check_cap(data["cap"], "cap") if "cap" in data else None
+    return GameSpec(game, off_path, cap, tuple(notes) + report.warnings), notes
 
 
 def read_game_spec(path: str | Path) -> GameSpec:
@@ -262,175 +285,150 @@ def serialize_game(g: MeaningGame) -> dict:
     return data
 
 
-def _parse_form_costs(data: Mapping, path) -> dict[FormKind, float]:
-    costs = dict(DEFAULT_FORM_COSTS)
-    with _named(path):
-        for tag, value in data.get("form_costs", {}).items():
-            costs[FormKind.from_tag(str(tag))] = float(value)
-        validate_form_costs(costs)
-    return costs
-
-
-_CONFIG_FIELDS = {
-    "initial_salience": float,
-    "rank_weight": float,
-    "cb_bonus": float,
-    "success_bonus": float,
-    "parallelism_penalty": float,
-    "off_path": str,
-}
-
-
-def _parse_config(data: Mapping, path) -> ResolutionConfig:
+def _parse_config(data: Mapping) -> ResolutionConfig:
     """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
     cfg = data.get("config", {})
-    fields = {k: parse(cfg[k]) for k, parse in _CONFIG_FIELDS.items() if k in cfg}
+    names = "initial_salience rank_weight cb_bonus success_bonus parallelism_penalty"
+    fields = {k: _number(cfg[k], "config: ", (), k) for k in names.split() if k in cfg}
+    if "off_path" in cfg:
+        fields["off_path"] = _ident(cfg["off_path"], "config: off_path")
     if "cap" in cfg:
-        fields["cap"] = _check_cap(cfg["cap"], f"{path}: config")
-    with _named(path):
-        if "boosts" in cfg:
-            fields["boosts"] = dict(ResolutionConfig().boosts)
-            for tag, value in cfg["boosts"].items():
-                fields["boosts"][FormKind.from_tag(str(tag))] = float(value)
-        return ResolutionConfig(**fields)
+        fields["cap"] = _check_cap(cfg["cap"], "config: cap")
+    if "boosts" in cfg:
+        fields["boosts"] = boosts = dict(ResolutionConfig().boosts)
+        for tag, value in cfg["boosts"].items():
+            boost = _number(value, "config: boosts[{!r}]", (tag,))
+            boosts[FormKind.from_tag(tag)] = boost
+    return ResolutionConfig(**fields)
 
 
 def parse_discourse(data: Mapping, path: str | Path = "<discourse>") -> Discourse:
     with _schema_errors(path):
-        return _parse_discourse(data, path)
+        return _parse_discourse(data)
 
 
-def _parse_discourse(data: Mapping, path) -> Discourse:
+def _parse_discourse(data: Mapping) -> Discourse:
     entities: dict[str, Entity] = {}
-    for entry in _require(data, "entities", path):
-        eid = str(entry["id"])
+    for i, entry in enumerate(data["entities"]):
+        at, where = (i,), "entities[{}]: "
+        eid, label = _id_label(entry, where, at)
         if eid in entities:
-            raise ScenarioError(f"{path}: duplicate entity id {eid!r}")
-        entities[eid] = Entity(
-            eid,
-            str(entry.get("label", "")),
-            {str(k): str(v) for k, v in entry.get("features", {}).items()},
-        )
+            raise ScenarioError(f"duplicate entity id {eid!r}")
+        features = entry.get("features", {})
+        entities[eid] = Entity(eid, label, _ident_map(features, where, at, "features"))
 
-    form_costs = _parse_form_costs(data, path)
-    config = _parse_config(data, path)
+    form_costs = dict(DEFAULT_FORM_COSTS)
+    for tag, value in data.get("form_costs", {}).items():
+        form_costs[FormKind.from_tag(tag)] = _number(value, "form_costs[{!r}]", (tag,))
+    validate_form_costs(form_costs)
+    config = _parse_config(data)
 
-    def form_of(tag: str, cost: float | None = None) -> ExpressionForm:
-        kind = _from_tag(FormKind, tag, path)
-        return ExpressionForm(kind, form_costs[kind] if cost is None else cost)
+    def form_of(entry: Mapping, where: str, at: tuple) -> ExpressionForm:
+        """The form ``entry`` names, at its own cost if it gives one."""
+        kind = FormKind.from_tag(_ident(entry["form"], where, at, "form"))
+        if "cost" not in entry:
+            return ExpressionForm(kind, form_costs[kind])
+        return ExpressionForm(kind, _number(entry["cost"], where, at, "cost", 0))
 
+    realization = "utterances[{}]: realizations[{}]: "
+    option = "utterances[{}]: realizations[{}]: options[{}]: "
     utterances = []
-    for index, entry in enumerate(_require(data, "utterances", path), start=1):
+    for u, entry in enumerate(data["utterances"]):
         items: list[Realization | ReferenceSlot] = []
-        for r in entry.get("realizations", []):
-            tag = str(_require(r, "function", path))
-            function = _from_tag(GrammaticalFunction, tag, path)
-            surface = str(_require(r, "surface", path))
+        for k, r in enumerate(entry.get("realizations", [])):
+            at = (u, k)
+            tag = _ident(r["function"], realization, at, "function")
+            function = GrammaticalFunction.from_tag(tag)
+            surface = _ident(r["surface"], realization, at, "surface")
             if "entity" in r:
-                eid = str(r["entity"])
+                eid = _ident(r["entity"], realization, at, "entity")
                 if eid not in entities:
                     raise ScenarioError(
-                        f"{path}: utterance {index} references unknown entity {eid!r}"
+                        f"utterance {u + 1} references unknown entity {eid!r}"
                     )
-                items.append(
-                    Realization(
-                        eid,
-                        function,
-                        form_of(str(_require(r, "form", path)), r.get("cost")),
-                        surface,
-                    )
-                )
+                form = form_of(r, realization, at)
+                items.append(Realization(eid, function, form, surface))
                 continue
-            slot_id = str(_require(r, "slot", path))
-            options = tuple(
-                ExpressionOption(
-                    str(_require(o, "surface", path)),
-                    form_of(str(_require(o, "form", path)), o.get("cost")),
-                    {str(k): str(v) for k, v in o.get("requires", {}).items()},
-                )
-                for o in _require(r, "options", path)
-            )
-            candidates = tuple(str(c) for c in _require(r, "candidates", path))
+            sid = _ident(r["slot"], realization, at, "slot")
+            candidates = _idents(r["candidates"], realization, at, "candidates")
+            options = []
+            for n, o in enumerate(r["options"]):
+                at = (u, k, n)
+                used = _ident(o["surface"], option, at, "surface")
+                requires = _ident_map(o.get("requires", {}), option, at, "requires")
+                options.append(ExpressionOption(used, form_of(o, option, at), requires))
             if not options or not candidates:
                 raise ScenarioError(
-                    f"{path}: slot {slot_id!r} needs at least one option and "
-                    "one candidate"
+                    f"slot {sid!r} needs at least one option and one candidate"
                 )
             unknown = [c for c in candidates if c not in entities]
             if unknown:
-                raise ScenarioError(
-                    f"{path}: slot {slot_id!r} names unknown candidates {unknown}"
-                )
+                raise ScenarioError(f"slot {sid!r} names unknown candidates {unknown}")
             for cid in candidates:
                 if not any(o.compatible(entities[cid]) for o in options):
                     raise ScenarioError(
-                        f"{path}: slot {slot_id!r}: candidate {cid!r} is "
+                        f"slot {sid!r}: candidate {cid!r} is "
                         "compatible with no expression option"
                     )
-            slot = ReferenceSlot(slot_id, function, surface, options, candidates)
+            slot = ReferenceSlot(sid, function, surface, tuple(options), candidates)
             slot.used_option()  # surface must be among the options
             items.append(slot)
-        try:
-            utterances.append(Utterance(index, tuple(items)))
-        except InvalidGameError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        utterances.append(Utterance(u + 1, tuple(items)))
 
+    section = "compounds[{}]: "
+    proposition = "compounds[{}]: propositions[{}]: "
+    sentence = "compounds[{}]: sentences[{}]: "
     compounds = {}
-    for entry in data.get("compounds", []):
-        index = _require(entry, "utterance", path)
+    for i, entry in enumerate(data.get("compounds", [])):
+        index = entry["utterance"]
         if type(index) is not int or not 1 <= index <= len(utterances):
             raise ScenarioError(
-                f"{path}: compound utterance must be the integer index of a "
+                "compound utterance must be the integer index of a "
                 f"listed utterance, got {index!r}"
             )
         if index in compounds:
-            raise ScenarioError(
-                f"{path}: more than one compound section for utterance {index}"
-            )
-        slot_ids = tuple(str(s) for s in _require(entry, "slots", path))
+            raise ScenarioError(f"more than one compound section for utterance {index}")
+        slot_ids = _idents(entry["slots"], section, (i,), "slots")
         listed = {s.id for s in utterances[index - 1].slots()}
         if len(set(slot_ids)) != len(slot_ids) or not listed.issuperset(slot_ids):
             raise ScenarioError(
-                f"{path}: compound section of utterance {index} must name "
+                f"compound section of utterance {index} must name "
                 f"distinct slots of that utterance, got {list(slot_ids)}"
             )
         propositions = tuple(
             PropositionOption(
-                str(p["id"]),
-                str(p.get("label", p["id"])),
-                {str(k): str(v) for k, v in _require(p, "assigns", path).items()},
-                _section_number(p.get("prior", 1.0), "prior", path),
+                *_id_label(p, proposition, (i, n)),
+                _ident_map(p["assigns"], proposition, (i, n), "assigns"),
+                _number(p.get("prior", 1.0), proposition, (i, n), "prior", 0),
                 {
-                    str(k): _section_number(v, "cost override", path)
-                    for k, v in p.get("cost_overrides", {}).items()
+                    s: _number(v, proposition, (i, n, s), "cost_overrides[{!r}]", 0)
+                    for s, v in p.get("cost_overrides", {}).items()
                 },
             )
-            for p in _require(entry, "propositions", path)
+            for n, p in enumerate(entry["propositions"])
         )
         sentences = tuple(
             SentenceOption(
-                str(s["id"]),
-                str(s.get("label", s["id"])),
-                {str(k): str(v) for k, v in _require(s, "parts", path).items()},
-                _section_number(s.get("cost", 0.0), "sentence cost", path),
+                *_id_label(s, sentence, (i, n)),
+                _ident_map(s["parts"], sentence, (i, n), "parts"),
+                _number(s.get("cost", 0.0), sentence, (i, n), "cost", 0),
             )
-            for s in _require(entry, "sentences", path)
+            for n, s in enumerate(entry["sentences"])
         )
         for p in propositions:
             if set(p.assigns) != set(slot_ids):
                 raise ScenarioError(
-                    f"{path}: proposition {p.id!r} must assign exactly the "
+                    f"proposition {p.id!r} must assign exactly the "
                     f"slots {list(slot_ids)}"
                 )
         for s in sentences:
             if set(s.parts) != set(slot_ids):
                 raise ScenarioError(
-                    f"{path}: sentence {s.id!r} must cover exactly the "
-                    f"slots {list(slot_ids)}"
+                    f"sentence {s.id!r} must cover exactly the slots {list(slot_ids)}"
                 )
         penalty = entry.get("parallelism_penalty")
         if penalty is not None:
-            penalty = _section_number(penalty, "parallelism penalty", path)
+            penalty = _number(penalty, section, (i,), "parallelism_penalty", 0)
         compounds[index] = CompoundSection(
             index, slot_ids, propositions, sentences, penalty
         )

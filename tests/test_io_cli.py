@@ -9,6 +9,7 @@ from meaning_games import (
     ScenarioError,
     load_discourse,
     load_game,
+    parse_discourse,
     parse_game,
     serialize_game,
     validate_game,
@@ -231,7 +232,8 @@ GAME_SCHEMA_ERRORS = {
 }
 
 # Fields whose wrong type used to be coerced into a quiet wrong game: a
-# string "no" made the game common-interest and 1.5 or true became cap 1.
+# string "no" made the game common-interest, 1.5 or true became cap 1, and a
+# true success bonus became 1.0.
 MALFORMED_SHARED_OR_CAP = {
     "shared_as_a_string": {"shared": "no"},
     "shared_as_a_number": {"shared": 0},
@@ -240,6 +242,7 @@ MALFORMED_SHARED_OR_CAP = {
     "boolean_cap": {"cap": True},
     "negative_cap": {"cap": -1},
     "cap_as_a_string": {"cap": "10"},
+    "boolean_success_bonus": {"success_bonus": True},
 }
 
 BAD_DISCOURSES = {
@@ -253,6 +256,15 @@ BAD_DISCOURSES = {
     ),
     "unknown_function": lambda d: d["utterances"][1]["realizations"][0].update(
         function="topic"
+    ),
+    "surface_not_among_options": lambda d: d["utterances"][1]["realizations"][0].update(
+        surface="she"
+    ),
+    "nan_option_cost": lambda d: d["utterances"][1]["realizations"][0]["options"][
+        0
+    ].update(cost=float("nan")),
+    "negative_realization_cost": lambda d: d["utterances"][0]["realizations"][0].update(
+        cost=-1
     ),
 }
 
@@ -298,6 +310,98 @@ BAD_SECTIONS = {
         slot="u2_subj"
     ),
 }
+
+
+# Wrongly typed values: (bundled file, the keys down to the value, the value,
+# the field path the error must name).  Each must be refused, not coerced into
+# a different game.
+U1_R0 = ("utterances", 1, "realizations", 0)
+SECTION = ("compounds", 0)
+WRONG_TYPES = [
+    ("fig2.game", ("prior",), {"fred": "0.6", "max": True}, "prior['fred']"),
+    ("fig2.game", ("prior", "max"), True, "prior['max']"),
+    ("fig2.game", ("success_bonus",), {"receiver": "1"}, "success_bonus: receiver"),
+    ("fig2.game", ("exclude",), ["ab"], "exclude[0]"),
+    ("fig2.game", ("exclude",), [["fred", "he"], ["max", 1]], "exclude[1]"),
+    ("fig2.game", ("contents", 0, "id"), None, "contents[0]: id"),
+    ("fig2.game", ("contents", 1, "id"), 7, "contents[1]: id"),
+    ("fig2.game", ("messages", 1, "label"), 2, "messages[1]: label"),
+    ("fig2.game", ("messages", 0, "cost"), False, "messages[0]: cost"),
+    (
+        "fig2.game",
+        ("sender_costs",),
+        {"fred": {"he": "0"}},
+        "sender_costs['fred']['he']",
+    ),
+    ("he_man.disc", ("config", "rank_weight"), "0.5", "config: rank_weight"),
+    ("he_man.disc", ("config", "cb_bonus"), None, "config: cb_bonus"),
+    ("he_man.disc", ("config", "boosts", "pronoun"), "2", "config: boosts['pronoun']"),
+    ("he_man.disc", ("form_costs", "pronoun"), False, "form_costs['pronoun']"),
+    ("he_man.disc", ("entities", 0, "id"), None, "entities[0]: id"),
+    ("he_man.disc", ("entities", 1, "id"), 3, "entities[1]: id"),
+    ("he_man.disc", ("entities", 0, "features", "number"), 1, "entities[0]: features"),
+    (
+        "he_man.disc",
+        ("utterances", 0, "realizations", 1, "entity"),
+        ["max"],
+        "utterances[0]: realizations[1]: entity",
+    ),
+    (
+        "he_man.disc",
+        U1_R0 + ("function",),
+        1,
+        "utterances[1]: realizations[0]: function",
+    ),
+    (
+        "he_man.disc",
+        U1_R0 + ("candidates",),
+        "fred",
+        "utterances[1]: realizations[0]: candidates",
+    ),
+    (
+        "he_man.disc",
+        U1_R0 + ("options", 0, "cost"),
+        True,
+        "utterances[1]: realizations[0]: options[0]: cost",
+    ),
+    (
+        "he_man.disc",
+        U1_R0 + ("options", 1, "requires", "number"),
+        None,
+        "utterances[1]: realizations[0]: options[1]: requires",
+    ),
+    ("man_him.disc", SECTION + ("slots",), "u2_subj", "compounds[0]: slots"),
+    (
+        "man_him.disc",
+        SECTION + ("sentences", 0, "cost"),
+        False,
+        "compounds[0]: sentences[0]: cost",
+    ),
+    (
+        "man_him.disc",
+        SECTION + ("sentences", 1, "parts", "u2_obj"),
+        0,
+        "compounds[0]: sentences[1]: parts",
+    ),
+    (
+        "man_him.disc",
+        SECTION + ("propositions", 1, "assigns", "u2_subj"),
+        1,
+        "compounds[0]: propositions[1]: assigns",
+    ),
+    (
+        "man_him.disc",
+        SECTION + ("propositions", 0, "prior"),
+        "1",
+        "compounds[0]: propositions[0]: prior",
+    ),
+    (
+        "man_him.disc",
+        SECTION + ("propositions", 0, "cost_overrides"),
+        {"he_angry_man": True},
+        "compounds[0]: propositions[0]: cost_overrides['he_angry_man']",
+    ),
+]
 
 
 class TestCli:
@@ -550,6 +654,53 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, keys, value, field", WRONG_TYPES, ids=[c[3] for c in WRONG_TYPES]
+    )
+    def test_wrongly_typed_value_is_refused_naming_its_field(
+        self, fig2_path, tmp_path, capsys, name, keys, value, field
+    ):
+        data = json.loads((fig2_path.parent / name).read_text())
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        if name.endswith(".game"):
+            argv = ["predict", "--game", str(path)]
+        else:
+            command = "compound" if name == "man_him.disc" else "resolve"
+            argv = [command, "--discourse", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {field} must be ")
+        assert "Traceback" not in err
+
+    def test_integer_numbers_load_as_their_float_spelling(
+        self, fig2_path, man_him_path
+    ):
+        game = json.loads(fig2_path.read_text())
+        game.update(prior={"fred": 3.0, "max": 2.0}, success_bonus=1.0)
+        integers = json.loads(json.dumps(game))
+        integers.update(prior={"fred": 3, "max": 2}, success_bonus=1)
+        integers["messages"][0]["cost"] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert repr(parse_game(integers)) == repr(parse_game(game))
+
+        discourse = json.loads(man_him_path.read_text())
+        discourse["config"].update(cb_bonus=0.0, parallelism_penalty=1.0)
+        discourse["compounds"][0].update(parallelism_penalty=0.0)
+        integers = json.loads(json.dumps(discourse))
+        integers["form_costs"]["pronoun"] = 0
+        integers["config"].update(cb_bonus=0, parallelism_penalty=1, initial_salience=1)
+        integers["config"]["boosts"]["proper_name"] = 1
+        integers["compounds"][0].update(parallelism_penalty=0)
+        integers["compounds"][0]["propositions"][0]["prior"] = 1
+        integers["compounds"][0]["sentences"][0]["cost"] = 0
+        assert repr(parse_discourse(integers)) == repr(parse_discourse(discourse))
 
     def test_validate_discourse(self, he_man_path, capsys):
         code = main(
