@@ -106,18 +106,12 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
+    """Every pure equilibrium, or for ``pareto`` the Pareto-optimal ones."""
     spec, rule, cap = _game_inputs(args)
-    reports = enumerate_pure_equilibria(spec.game, rule, cap)
-    return {
-        "off_path": rule,
-        "equilibria": [_report_dict(r) for r in reports],
-        "count": len(reports),
-    }, EXIT_OK
-
-
-def _cmd_pareto(args) -> tuple[dict, int]:
-    spec, rule, cap = _game_inputs(args)
-    reports = predict(spec.game, rule, cap).reports
+    if args.command == "pareto":
+        reports = predict(spec.game, rule, cap).reports
+    else:
+        reports = enumerate_pure_equilibria(spec.game, rule, cap)
     return {
         "off_path": rule,
         "equilibria": [_report_dict(r) for r in reports],
@@ -279,7 +273,7 @@ def _cmd_explain(args) -> tuple[dict, int]:
 _COMMANDS = {
     "validate": (_cmd_validate, "check a game or discourse file"),
     "solve": (_cmd_solve, "enumerate all pure equilibria of a game"),
-    "pareto": (_cmd_pareto, "enumerate and keep the Pareto-optimal equilibria"),
+    "pareto": (_cmd_solve, "enumerate and keep the Pareto-optimal equilibria"),
     "predict": (_cmd_predict, "predict play (Pareto-optimal equilibria, ties kept)"),
     "resolve": (_cmd_resolve, "resolve a discourse's anaphoric slots"),
     "compound": (_cmd_compound, "analyze declared sentence-level compound games"),

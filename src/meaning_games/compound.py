@@ -32,10 +32,9 @@ from .equilibrium import (
     OffPathRule,
     Prediction,
     Profile,
-    _check_size,
     _Compiled,
-    _off_path_row,
     _prediction,
+    _search,
     predict,
 )
 from .game import (
@@ -47,6 +46,7 @@ from .game import (
     Prior,
     SenderStrategy,
     UtilityModel,
+    _turns,
     _utility_unchecked,
     _validate_sender,
 )
@@ -194,6 +194,7 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
     sender_cost = {}
     receiver_cost = {}
     for cid, ctup in content_components.items():
+        edges = len(sender_cost)
         for mid, mtup in message_components.items():
             if all((ctup[k], mtup[k]) in games[k].edges for k in range(n)):
                 sender_cost[(cid, mid)] = sum(
@@ -204,6 +205,10 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
                     weights[k] * games[k].utility.receiver_cost[(mtup[k], ctup[k])]
                     for k in range(n)
                 )
+        if len(sender_cost) == edges:
+            raise InvalidGameError(
+                f"joint content {cid!r} has no feasible grammatical message"
+            )
 
     bonuses = [
         (w * g.utility.sender_bonus, w * g.utility.receiver_bonus)
@@ -228,12 +233,9 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
         shared=shared_flags.pop(),
         bonus_overlap=overlap,
     )
-    flat_game = MeaningGame(tuple(contents), tuple(messages), prior, utility)
-    for c in flat_game.contents:
-        if not flat_game.messages_for(c.id):
-            raise InvalidGameError(
-                f"joint content {c.id!r} has no feasible grammatical message"
-            )
+    flat_game = MeaningGame(
+        tuple(contents), tuple(messages), prior, utility, frozenset(sender_cost)
+    )
     return Flattened(flat_game, cg, content_components, message_components)
 
 
@@ -251,15 +253,15 @@ class _Composite(_Compiled):
     def __init__(self, flat: Flattened, rule: OffPathRule):
         super().__init__(flat.game, rule)
         # Per slot: the constituent's index of each flat content's and each
-        # flat message's component, and the constituent game.
+        # flat message's component, and the constituent's compiled view.
         self.slots = []
         for k, constituent in enumerate(flat.compound.constituents):
-            g = constituent.game
-            cids, mids = g.content_ids(), g.message_ids()
+            sub = _Compiled(constituent.game, rule)
+            c_index, m_index = sub.c_index, sub.m_index
             self.slots.append((
-                [cids.index(flat.content_components[cid][k]) for cid in self.cids],
-                [mids.index(flat.message_components[mid][k]) for mid in self.mids],
-                g,
+                [c_index[flat.content_components[cid][k]] for cid in self.cids],
+                [m_index[flat.message_components[mid][k]] for mid in self.mids],
+                sub,
             ))
         # The same indices per flat message, slot by slot.
         self.m_parts = list(zip(*(m_part for _, m_part, _ in self.slots)))
@@ -291,6 +293,21 @@ class _Composite(_Compiled):
                 return ()
         return (s,)
 
+    def induced_eus(self, s: tuple[int, ...], r: tuple[int, ...]) -> list[tuple[float, float]]:
+        """Per slot, the sender's and receiver's expected utility in the
+        constituent's own game under the pure profile ``(s, r)``: the sums
+        of ``constituent_expected_utility``, term for term."""
+        reading = dict(zip(self.used, r))
+        eus = []
+        for c_part, m_part, sub in self.slots:
+            eu_sender = eu_receiver = 0.0
+            for c in self.support:
+                ck, mk, ak = c_part[c], m_part[s[c]], c_part[reading[s[c]]]
+                eu_sender += self.prior[c] * sub.sender_u[ck][mk][ak]
+                eu_receiver += self.prior[c] * sub.receiver_u[ck][mk][ak]
+            eus.append((eu_sender, eu_receiver))
+        return eus
+
     def off_path_key(self, m: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(c for c in self.support if m_part[s[c]] == m_part[m])
@@ -301,16 +318,16 @@ class _Composite(_Compiled):
         # Slot masses add up in flat content order, totals in constituent
         # content order, and the joint product runs in slot order.
         beliefs = []
-        for (c_part, m_part, g), senders in zip(self.slots, key):
-            mass = [0.0] * len(g.contents)
+        for (c_part, m_part, sub), senders in zip(self.slots, key):
+            mass = [0.0] * len(sub.cids)
             for c in senders:
                 mass[c_part[c]] += self.prior[c]
             total = sum(mass)
             if total > 0.0:
                 beliefs.append([w / total for w in mass])
             else:
-                row = _off_path_row(g, g.message_ids()[m_part[m]], self.rule)
-                beliefs.append([row.get(c, 0.0) for c in g.content_ids()])
+                row = dict(sub.flat_off_path_row(m_part[m]))
+                beliefs.append([row.get(c, 0.0) for c in range(len(sub.cids))])
         row = [
             (c, w)
             for c in self.contents_of[m]
@@ -402,14 +419,6 @@ def product_receiver_filter(flat: Flattened):
     return lambda rmap: _factors(rmap, flat.message_components, flat.content_components)
 
 
-def _compound_search(flat: Flattened, rule: OffPathRule, cap: int | None):
-    """The compound's compiled view and the index pairs of its pure
-    equilibria, searched over per-slot strategy combinations."""
-    core = _Composite(flat, rule)
-    _check_size(core, cap)
-    return core, core.search()
-
-
 def enumerate_compound(
     flat: Flattened, rule: OffPathRule = "prior", cap: int | None = None
 ):
@@ -421,8 +430,8 @@ def enumerate_compound(
     earlier readings its message is linked to, and a sender map only where
     it agrees on the contents' links; the flat game's profile count still
     has to pass the cap."""
-    core, pairs = _compound_search(flat, rule, cap)
-    return core.reports(pairs, composite_belief_builder(flat, rule))
+    core = _Composite(flat, rule)
+    return core.reports(_search(core, cap), composite_belief_builder(flat, rule))
 
 
 def constituent_expected_utility(
@@ -433,23 +442,12 @@ def constituent_expected_utility(
     Marginalizes the joint outcome distribution onto constituent ``k`` and
     evaluates that constituent's own utility, unweighted.
     """
-    g = flat.game
     sub = flat.compound.constituents[k].game
+    contents, messages = flat.content_components, flat.message_components
     total = 0.0
-    for cid in g.content_ids():
-        p_c = g.prior[cid]
-        if p_c == 0.0:
-            continue
-        ck = flat.content_components[cid][k]
-        for mid, p_m in profile.sender.row(cid).items():
-            if p_m == 0.0:
-                continue
-            mk = flat.message_components[mid][k]
-            for aid, p_a in profile.receiver.row(mid).items():
-                if p_a == 0.0:
-                    continue
-                ak = flat.content_components[aid][k]
-                total += p_c * p_m * p_a * _utility_unchecked(sub, ck, mk, ak, player)
+    for cid, mid, aid, mass in _turns(flat.game, profile.sender, profile.receiver):
+        ck, mk, ak = contents[cid][k], messages[mid][k], contents[aid][k]
+        total += mass * _utility_unchecked(sub, ck, mk, ak, player)
     return total
 
 
@@ -499,18 +497,17 @@ def predict_compound(
     playing the compound as a whole.
     """
     flat = flatten(cg, cap)
-    core, pairs = _compound_search(flat, rule, cap)
-    survivors = core.reports(core.pareto(pairs), composite_belief_builder(flat, rule))
+    core = _Composite(flat, rule)
+    front = core.pareto(_search(core, cap))
+    survivors = core.reports(front, composite_belief_builder(flat, rule))
     prediction = _prediction(flat.game, survivors)
 
     own = [predict(c.game, rule, cap) for c in cg.constituents]
     all_annotations = []
-    for report in prediction.reports:
+    for pair in front:
         annotations = []
-        for k, constituent in enumerate(cg.constituents):
-            ind_s = constituent_expected_utility(flat, k, report.profile, "S")
-            ind_r = constituent_expected_utility(flat, k, report.profile, "R")
-            own_reports = own[k].reports
+        for k, (ind_s, ind_r) in enumerate(core.induced_eus(*pair)):
+            constituent, own_reports = cg.constituents[k], own[k].reports
             if own_reports:
                 optimal = any(
                     ind_s >= r.eu_sender - TOL and ind_r >= r.eu_receiver - TOL

@@ -151,7 +151,7 @@ class _Compiled:
         self.prior = [g.prior[c] for c in cids]
         self.support = [c for c, p in enumerate(self.prior) if p > 0.0]
         # Edges naming an id outside the game (a stray cost entry) are ignored.
-        m_index = {mid: m for m, mid in enumerate(mids)}
+        self.m_index = m_index = {mid: m for m, mid in enumerate(mids)}
         self.messages_of = [[] for _ in cids]
         for cid, mid in g.edges:
             if cid in c_index and mid in m_index:
@@ -566,10 +566,12 @@ def classify_profile(g: MeaningGame, smap: Mapping[str, str]) -> str:
     return "partial"
 
 
-def _check_size(core: _Compiled, cap: int | None) -> None:
-    """Refuse the compiled game when its count of deterministic profiles,
-    the product of every content's and every used message's options,
-    exceeds the cap."""
+def _search(
+    core: _Compiled, cap: int | None
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The index pairs of the pure equilibria of the view ``core``.  The
+    view is refused when its count of deterministic profiles, the product
+    of every content's and every used message's options, exceeds the cap."""
     cap = DEFAULT_CAP if cap is None else cap
     total = prod(map(len, core.messages_of)) * prod(
         len(core.contents_of[m]) for m in core.used
@@ -580,16 +582,7 @@ def _check_size(core: _Compiled, cap: int | None) -> None:
             "flatten compound structure coarsely, prune the game by the "
             "observed message, or raise the cap"
         )
-
-
-def _search(
-    g: MeaningGame, rule: OffPathRule, cap: int | None
-) -> tuple[_Compiled, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The compiled view of ``g`` and the index pairs of its pure
-    equilibria, searched over the full receiver and sender products."""
-    core = _Compiled(g, rule)
-    _check_size(core, cap)
-    return core, core.search()
+    return core.search()
 
 
 def enumerate_pure_equilibria(
@@ -613,8 +606,8 @@ def enumerate_pure_equilibria(
     positive-prior contents that send it (off the path, by the off-path
     rule's key).  Reports are built only for the profiles that pass.
     """
-    core, pairs = _search(g, rule, cap)
-    return core.reports(pairs)
+    core = _Compiled(g, rule)
+    return core.reports(_search(core, cap))
 
 
 def _dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -693,8 +686,8 @@ def predict(
 ) -> Prediction:
     """Pareto filter over the pure equilibria; ties all returned.  Only
     the survivors' reports are built."""
-    core, pairs = _search(g, rule, cap)
-    return _prediction(g, core.reports(core.pareto(pairs)))
+    core = _Compiled(g, rule)
+    return _prediction(g, core.reports(core.pareto(_search(core, cap))))
 
 
 def _pareto_readings(
@@ -702,7 +695,8 @@ def _pareto_readings(
 ) -> set[str]:
     """``predict(g, rule, cap).readings_of(mid)``, read off the Pareto
     survivors' index pairs without building their reports."""
-    core, pairs = _search(g, rule, cap)
+    core = _Compiled(g, rule)
+    pairs = _search(core, cap)
     try:
         i = core.used.index(core.mids.index(mid))
     except ValueError:  # unknown, or no content may send it

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal, Mapping
+from typing import Iterator, Literal, Mapping
 
 from .errors import InvalidGameError
 
@@ -57,11 +57,6 @@ class Prior:
     weights: Mapping[str, float]
 
     @staticmethod
-    def uniform(ids: Iterable[str]) -> "Prior":
-        ids = list(ids)
-        return Prior({cid: 1.0 / len(ids) for cid in ids})
-
-    @staticmethod
     def normalized(weights: Mapping[str, float]) -> "Prior":
         total = sum(weights.values())
         if total <= 0:
@@ -70,9 +65,6 @@ class Prior:
 
     def __getitem__(self, cid: str) -> float:
         return self.weights[cid]
-
-    def support(self) -> set[str]:
-        return {cid for cid, w in self.weights.items() if w > 0.0}
 
 
 @dataclass(frozen=True)
@@ -330,39 +322,54 @@ def _utility_unchecked(
     return bonus_r - rc
 
 
-def _validate_sender(g: MeaningGame, s: SenderStrategy) -> None:
-    if set(s.rows) != set(g.content_ids()):
-        raise InvalidGameError("sender strategy rows do not match the content set")
-    for cid, row in s.rows.items():
+def _validate_rows(
+    g: MeaningGame, rows: Mapping, player: Player, expected: set[str], domain: str
+) -> None:
+    """Check one player's strategy rows: one per id of ``expected`` (which
+    the error calls ``domain``), each a distribution whose mass lies on
+    grammatical pairs only."""
+    sender = player == SENDER
+    name = "sender" if sender else "receiver"
+    if set(rows) != expected:
+        raise InvalidGameError(f"{name} strategy rows do not match {domain}")
+    for key, row in rows.items():
         total = sum(row.values())
         if abs(total - 1.0) > TOL:
-            raise InvalidGameError(f"sender row for {cid!r} sums to {total!r}")
-        for mid, p in row.items():
+            raise InvalidGameError(f"{name} row for {key!r} sums to {total!r}")
+        for other, p in row.items():
             if p < 0:
-                raise InvalidGameError(f"sender row for {cid!r} has negative mass")
-            if p > 0 and (cid, mid) not in g.edges:
+                raise InvalidGameError(f"{name} row for {key!r} has negative mass")
+            if p > 0 and ((key, other) if sender else (other, key)) not in g.edges:
                 raise InvalidGameError(
-                    f"sender row for {cid!r} puts mass on ungrammatical {mid!r}"
+                    f"{name} row for {key!r} puts mass on ungrammatical {other!r}"
                 )
+
+
+def _validate_sender(g: MeaningGame, s: SenderStrategy) -> None:
+    _validate_rows(g, s.rows, SENDER, set(g.content_ids()), "the content set")
 
 
 def _validate_receiver(g: MeaningGame, r: ReceiverStrategy) -> None:
     expected = {m.id for m in g.messages if g.contents_for(m.id)}
-    if set(r.rows) != expected:
-        raise InvalidGameError(
-            "receiver strategy rows do not match the messages with edges"
-        )
-    for mid, row in r.rows.items():
-        total = sum(row.values())
-        if abs(total - 1.0) > TOL:
-            raise InvalidGameError(f"receiver row for {mid!r} sums to {total!r}")
-        for cid, p in row.items():
-            if p < 0:
-                raise InvalidGameError(f"receiver row for {mid!r} has negative mass")
-            if p > 0 and (cid, mid) not in g.edges:
-                raise InvalidGameError(
-                    f"receiver row for {mid!r} puts mass on ungrammatical {cid!r}"
-                )
+    _validate_rows(g, r.rows, RECEIVER, expected, "the messages with edges")
+
+
+def _turns(
+    g: MeaningGame, s: SenderStrategy, r: ReceiverStrategy
+) -> Iterator[tuple[str, str, str, float]]:
+    """Each turn ``(intended, sent, interpreted, mass)`` the pair plays with
+    positive mass, in content order; the mass is
+    P(c) sigma_S(m|c) sigma_R(a|m), multiplied in that order."""
+    for cid in g.content_ids():
+        p_c = g.prior[cid]
+        if p_c == 0.0:
+            continue
+        for mid, p_m in s.row(cid).items():
+            if p_m == 0.0:
+                continue
+            for aid, p_a in r.row(mid).items():
+                if p_a != 0.0:
+                    yield cid, mid, aid, p_c * p_m * p_a
 
 
 def expected_utility(
@@ -373,17 +380,8 @@ def expected_utility(
     _validate_sender(g, s)
     _validate_receiver(g, r)
     total = 0.0
-    for cid in g.content_ids():
-        p_c = g.prior[cid]
-        if p_c == 0.0:
-            continue
-        for mid, p_m in s.row(cid).items():
-            if p_m == 0.0:
-                continue
-            for aid, p_a in r.row(mid).items():
-                if p_a == 0.0:
-                    continue
-                total += p_c * p_m * p_a * _utility_unchecked(g, cid, mid, aid, player)
+    for cid, mid, aid, mass in _turns(g, s, r):
+        total += mass * _utility_unchecked(g, cid, mid, aid, player)
     return total
 
 
@@ -392,14 +390,9 @@ def success_probability(g: MeaningGame, s: SenderStrategy, r: ReceiverStrategy) 
     _validate_sender(g, s)
     _validate_receiver(g, r)
     total = 0.0
-    for cid in g.content_ids():
-        p_c = g.prior[cid]
-        if p_c == 0.0:
-            continue
-        for mid, p_m in s.row(cid).items():
-            if p_m == 0.0:
-                continue
-            total += p_c * p_m * r.row(mid).get(cid, 0.0)
+    for cid, _, aid, mass in _turns(g, s, r):
+        if aid == cid:
+            total += mass
     return total
 
 

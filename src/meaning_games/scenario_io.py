@@ -60,6 +60,8 @@ def _read_json(path: str | Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an overlong integer, deep nesting
+        raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
     return data
@@ -106,27 +108,41 @@ def _ident(value: Any, where: str, at=(), field="") -> str:
     raise _refused(value, "a string", where, at, field)
 
 
-def _idents(value: Any, where: str, at: tuple, field: str, length=None) -> tuple:
-    """``value`` as a tuple: a JSON array of strings, ``length`` long if given."""
+def _array(value: Any, where: str, at=(), field="", of=None, length=None) -> tuple:
+    """``value`` as a tuple: a JSON array, ``length`` long if given, whose
+    items are all of type ``of`` (``str`` or ``dict``) if given."""
     if type(value) in (list, tuple) and (length is None or len(value) == length):
         for v in value:
-            if type(v) is not str:
+            if of is not None and type(v) is not of:
                 break
         else:
             return tuple(value)
-    size = "" if length is None else f" of {length}"
-    raise _refused(value, f"an array{size} of strings", where, at, field)
+    size = "" if length is None else f"{length} "
+    items = {None: "values", str: "strings", dict: "objects"}[of]
+    raise _refused(value, f"an array of {size}{items}", where, at, field)
 
 
-def _ident_map(value: Any, where: str, at: tuple, field: str) -> dict[str, str]:
-    """``value`` as a dict: a JSON object whose values are strings."""
+def _object(value: Any, where: str, at=(), field="", of=None) -> dict:
+    """``value`` as a dict: a JSON object.  With ``of`` set to ``str`` its
+    values must be strings, and a copy is returned."""
     if type(value) is dict:
+        if of is None:
+            return value
         for v in value.values():
-            if type(v) is not str:
+            if type(v) is not of:
                 break
         else:
             return dict(value)
-    raise _refused(value, "an object of strings", where, at, field)
+    what = "an object" if of is None else "an object of strings"
+    raise _refused(value, what, where, at, field)
+
+
+def _numbers(value: Any, where: str, at=(), field="", minimum=None) -> dict[str, float]:
+    """``value`` as a dict: a JSON object of numbers, each read by ``_number``
+    and named by its key, as in ``prior['fred']``."""
+    key = field + "[{!r}]"
+    numbers = _object(value, where, at, field)
+    return {k: _number(v, where, at + (k,), key, minimum) for k, v in numbers.items()}
 
 
 def _id_label(entry: Mapping, where: str, at: tuple) -> tuple[str, str]:
@@ -164,17 +180,17 @@ def _parse_game(data: Mapping) -> tuple[GameSpec, list[str]]:
     """The spec ``data`` describes, and notes on what loading changed."""
     contents = [
         Content(*_id_label(entry, "contents[{}]: ", (i,)))
-        for i, entry in enumerate(data["contents"])
+        for i, entry in enumerate(_array(data["contents"], "contents", of=dict))
     ]
     messages = []
     per_message_cost = {}
-    for i, entry in enumerate(data["messages"]):
+    for i, entry in enumerate(_array(data["messages"], "messages", of=dict)):
         messages.append(Message(*_id_label(entry, "messages[{}]: ", (i,))))
         if "cost" in entry:
             cost = _number(entry["cost"], "messages[{}]: ", (i,), "cost")
             per_message_cost[messages[-1].id] = cost
 
-    raw_prior = {c: _number(w, "prior[{!r}]", (c,)) for c, w in data["prior"].items()}
+    raw_prior = _numbers(data["prior"], "prior")
     notes = []
     total = sum(raw_prior.values())
     if total <= 0:
@@ -192,8 +208,8 @@ def _parse_game(data: Mapping) -> tuple[GameSpec, list[str]]:
         sender_bonus = receiver_bonus = _number(bonus, "success_bonus")
 
     excluded = {
-        _idents(pair, "exclude[{}]", (i,), "", 2)
-        for i, pair in enumerate(data.get("exclude", []))
+        _array(pair, "exclude[{}]", (i,), of=str, length=2)
+        for i, pair in enumerate(_array(data.get("exclude", []), "exclude"))
     }
     sender_cost: dict[tuple[str, str], float] = {}
     receiver_cost: dict[tuple[str, str], float] = {}
@@ -202,25 +218,24 @@ def _parse_game(data: Mapping) -> tuple[GameSpec, list[str]]:
             if (c.id, m.id) not in excluded and m.id in per_message_cost:
                 sender_cost[(c.id, m.id)] = per_message_cost[m.id]
                 receiver_cost[(m.id, c.id)] = per_message_cost[m.id]
-    for cid, row in data.get("sender_costs", {}).items():
-        for mid, cost in row.items():
+    for cid, row in _object(data.get("sender_costs", {}), "sender_costs").items():
+        for mid, cost in _object(row, "sender_costs[{!r}]", (cid,)).items():
             cost = _number(cost, "sender_costs[{!r}][{!r}]", (cid, mid))
             if (cid, mid) not in excluded:
                 sender_cost[(cid, mid)] = cost
-    for mid, row in data.get("receiver_costs", {}).items():
-        for cid, cost in row.items():
+    for mid, row in _object(data.get("receiver_costs", {}), "receiver_costs").items():
+        for cid, cost in _object(row, "receiver_costs[{!r}]", (mid,)).items():
             cost = _number(cost, "receiver_costs[{!r}][{!r}]", (mid, cid))
             if (cid, mid) not in excluded:
                 receiver_cost[(mid, cid)] = cost
 
     overlap = None
     if "bonus_overlap" in data:
-        w = "bonus_overlap[{!r}][{!r}]"
-        overlap = {
-            (a, b): (_number(s, w, (a, b), "[0]"), _number(r, w, (a, b), "[1]"))
-            for a, row in data["bonus_overlap"].items()
-            for b, (s, r) in row.items()
-        }
+        w, overlap = "bonus_overlap[{!r}][{!r}]", {}
+        for a, row in _object(data["bonus_overlap"], "bonus_overlap").items():
+            for b, pair in _object(row, "bonus_overlap[{!r}]", (a,)).items():
+                s, r = _array(pair, w, (a, b), length=2)
+                overlap[(a, b)] = _number(s, w, (a, b), "[0]"), _number(r, w, (a, b), "[1]")
 
     shared = data.get("shared", False)
     if not isinstance(shared, bool):
@@ -287,7 +302,7 @@ def serialize_game(g: MeaningGame) -> dict:
 
 def _parse_config(data: Mapping) -> ResolutionConfig:
     """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
-    cfg = data.get("config", {})
+    cfg = _object(data.get("config", {}), "config")
     names = "initial_salience rank_weight cb_bonus success_bonus parallelism_penalty"
     fields = {k: _number(cfg[k], "config: ", (), k) for k in names.split() if k in cfg}
     if "off_path" in cfg:
@@ -296,8 +311,7 @@ def _parse_config(data: Mapping) -> ResolutionConfig:
         fields["cap"] = _check_cap(cfg["cap"], "config: cap")
     if "boosts" in cfg:
         fields["boosts"] = boosts = dict(ResolutionConfig().boosts)
-        for tag, value in cfg["boosts"].items():
-            boost = _number(value, "config: boosts[{!r}]", (tag,))
+        for tag, boost in _numbers(cfg["boosts"], "config: boosts").items():
             boosts[FormKind.from_tag(tag)] = boost
     return ResolutionConfig(**fields)
 
@@ -309,17 +323,17 @@ def parse_discourse(data: Mapping, path: str | Path = "<discourse>") -> Discours
 
 def _parse_discourse(data: Mapping) -> Discourse:
     entities: dict[str, Entity] = {}
-    for i, entry in enumerate(data["entities"]):
+    for i, entry in enumerate(_array(data["entities"], "entities", of=dict)):
         at, where = (i,), "entities[{}]: "
         eid, label = _id_label(entry, where, at)
         if eid in entities:
             raise ScenarioError(f"duplicate entity id {eid!r}")
         features = entry.get("features", {})
-        entities[eid] = Entity(eid, label, _ident_map(features, where, at, "features"))
+        entities[eid] = Entity(eid, label, _object(features, where, at, "features", str))
 
     form_costs = dict(DEFAULT_FORM_COSTS)
-    for tag, value in data.get("form_costs", {}).items():
-        form_costs[FormKind.from_tag(tag)] = _number(value, "form_costs[{!r}]", (tag,))
+    for tag, cost in _numbers(data.get("form_costs", {}), "form_costs").items():
+        form_costs[FormKind.from_tag(tag)] = cost
     validate_form_costs(form_costs)
     config = _parse_config(data)
 
@@ -330,12 +344,14 @@ def _parse_discourse(data: Mapping) -> Discourse:
             return ExpressionForm(kind, form_costs[kind])
         return ExpressionForm(kind, _number(entry["cost"], where, at, "cost", 0))
 
+    utterance = "utterances[{}]: "
     realization = "utterances[{}]: realizations[{}]: "
     option = "utterances[{}]: realizations[{}]: options[{}]: "
     utterances = []
-    for u, entry in enumerate(data["utterances"]):
+    for u, entry in enumerate(_array(data["utterances"], "utterances", of=dict)):
         items: list[Realization | ReferenceSlot] = []
-        for k, r in enumerate(entry.get("realizations", [])):
+        entries = entry.get("realizations", [])
+        for k, r in enumerate(_array(entries, utterance, (u,), "realizations", dict)):
             at = (u, k)
             tag = _ident(r["function"], realization, at, "function")
             function = GrammaticalFunction.from_tag(tag)
@@ -350,12 +366,12 @@ def _parse_discourse(data: Mapping) -> Discourse:
                 items.append(Realization(eid, function, form, surface))
                 continue
             sid = _ident(r["slot"], realization, at, "slot")
-            candidates = _idents(r["candidates"], realization, at, "candidates")
+            candidates = _array(r["candidates"], realization, at, "candidates", str)
             options = []
-            for n, o in enumerate(r["options"]):
+            for n, o in enumerate(_array(r["options"], realization, at, "options", dict)):
                 at = (u, k, n)
                 used = _ident(o["surface"], option, at, "surface")
-                requires = _ident_map(o.get("requires", {}), option, at, "requires")
+                requires = _object(o.get("requires", {}), option, at, "requires", str)
                 options.append(ExpressionOption(used, form_of(o, option, at), requires))
             if not options or not candidates:
                 raise ScenarioError(
@@ -379,7 +395,7 @@ def _parse_discourse(data: Mapping) -> Discourse:
     proposition = "compounds[{}]: propositions[{}]: "
     sentence = "compounds[{}]: sentences[{}]: "
     compounds = {}
-    for i, entry in enumerate(data.get("compounds", [])):
+    for i, entry in enumerate(_array(data.get("compounds", []), "compounds", of=dict)):
         index = entry["utterance"]
         if type(index) is not int or not 1 <= index <= len(utterances):
             raise ScenarioError(
@@ -388,32 +404,33 @@ def _parse_discourse(data: Mapping) -> Discourse:
             )
         if index in compounds:
             raise ScenarioError(f"more than one compound section for utterance {index}")
-        slot_ids = _idents(entry["slots"], section, (i,), "slots")
+        slot_ids = _array(entry["slots"], section, (i,), "slots", str)
         listed = {s.id for s in utterances[index - 1].slots()}
         if len(set(slot_ids)) != len(slot_ids) or not listed.issuperset(slot_ids):
             raise ScenarioError(
                 f"compound section of utterance {index} must name "
                 f"distinct slots of that utterance, got {list(slot_ids)}"
             )
+        entries = _array(entry["propositions"], section, (i,), "propositions", dict)
         propositions = tuple(
             PropositionOption(
                 *_id_label(p, proposition, (i, n)),
-                _ident_map(p["assigns"], proposition, (i, n), "assigns"),
+                _object(p["assigns"], proposition, (i, n), "assigns", str),
                 _number(p.get("prior", 1.0), proposition, (i, n), "prior", 0),
-                {
-                    s: _number(v, proposition, (i, n, s), "cost_overrides[{!r}]", 0)
-                    for s, v in p.get("cost_overrides", {}).items()
-                },
+                _numbers(
+                    p.get("cost_overrides", {}), proposition, (i, n), "cost_overrides", 0
+                ),
             )
-            for n, p in enumerate(entry["propositions"])
+            for n, p in enumerate(entries)
         )
+        entries = _array(entry["sentences"], section, (i,), "sentences", dict)
         sentences = tuple(
             SentenceOption(
                 *_id_label(s, sentence, (i, n)),
-                _ident_map(s["parts"], sentence, (i, n), "parts"),
+                _object(s["parts"], sentence, (i, n), "parts", str),
                 _number(s.get("cost", 0.0), sentence, (i, n), "cost", 0),
             )
-            for n, s in enumerate(entry["sentences"])
+            for n, s in enumerate(entries)
         )
         for p in propositions:
             if set(p.assigns) != set(slot_ids):

@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, so a failure seen once
+# reproduces; each test's own ``max_examples`` still applies.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 DATA = Path(__file__).parent.parent / "src" / "meaning_games" / "data"
 

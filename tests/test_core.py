@@ -28,6 +28,7 @@ from meaning_games import (
     Prior,
     SizeLimitError,
     UtilityModel,
+    constituent_expected_utility,
     enumerate_pure_equilibria,
     equilibrium,
     flatten,
@@ -352,6 +353,22 @@ def test_predict_compound_equals_the_filtered_enumeration(rule):
         flat = flatten(cg)
         expected = _prediction(flat.game, pareto_filter(enumerate_compound(flat, rule)))
         assert repr(predict_compound(cg, rule).prediction) == repr(expected)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_annotations_equal_the_constituent_expected_utilities(rule):
+    rng = random.Random(4444)
+    for i in range(20):
+        cg = random_compound(rng, constrained=bool(i % 2))
+        result = predict_compound(cg, rule)
+        for report, annotations in zip(result.prediction.reports, result.annotations):
+            for k, a in enumerate(annotations):
+                assert a.induced_eu_sender == constituent_expected_utility(
+                    result.flattened, k, report.profile, "S"
+                )
+                assert a.induced_eu_receiver == constituent_expected_utility(
+                    result.flattened, k, report.profile, "R"
+                )
 
 
 @pytest.mark.parametrize("rule", RULES)

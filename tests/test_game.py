@@ -151,7 +151,50 @@ class TestUtility:
             utility(g, Turn("bob", "he", "fred"), "S")
 
 
+# One invalid strategy per validation error, in place of one side of the
+# pronoun game's left profile: (player, its rows, the exact error text).
+BAD_ROWS = [
+    ("S", {"fred": {"he": 1.0}}, "sender strategy rows do not match the content set"),
+    ("S", {"fred": {"he": 0.5}, "max": {"he": 1.0}}, "sender row for 'fred' sums to 0.5"),
+    (
+        "S",
+        {"fred": {"he": 1.5, "the man": -0.5}, "max": {"he": 1.0}},
+        "sender row for 'fred' has negative mass",
+    ),
+    (
+        "S",
+        {"fred": {"she": 1.0}, "max": {"he": 1.0}},
+        "sender row for 'fred' puts mass on ungrammatical 'she'",
+    ),
+    ("R", {"he": {"fred": 1.0}}, "receiver strategy rows do not match the messages with edges"),
+    ("R", {"he": {"fred": 0.25}, "the man": {"max": 1.0}}, "receiver row for 'he' sums to 0.25"),
+    (
+        "R",
+        {"he": {"fred": 2.0, "max": -1.0}, "the man": {"max": 1.0}},
+        "receiver row for 'he' has negative mass",
+    ),
+    (
+        "R",
+        {"he": {"bob": 1.0}, "the man": {"max": 1.0}},
+        "receiver row for 'he' puts mass on ungrammatical 'bob'",
+    ),
+]
+
+
 class TestExpectedUtility:
+    @pytest.mark.parametrize("player, rows, text", BAD_ROWS, ids=[c[2] for c in BAD_ROWS])
+    def test_invalid_strategy_is_refused_with_its_text(self, player, rows, text):
+        s, r = left_profile()
+        if player == "S":
+            s = SenderStrategy(rows)
+        else:
+            r = ReceiverStrategy(rows)
+        for evaluate in (expected_utility, success_probability):
+            args = (pronoun_game(), s, r) + (("S",) if evaluate is expected_utility else ())
+            with pytest.raises(InvalidGameError) as refused:
+                evaluate(*args)
+            assert str(refused.value) == text
+
     def test_message_utilities_weighted_by_prior(self):
         # Message utilities enter as negated costs; with no success bonus the
         # matched play earns P1*U1 + P2*U2.

@@ -401,6 +401,30 @@ WRONG_TYPES = [
         {"he_angry_man": True},
         "compounds[0]: propositions[0]: cost_overrides['he_angry_man']",
     ),
+    # Containers of the wrong JSON type, empty ones included.
+    ("fig2.game", ("contents",), 5, "contents"),
+    ("fig2.game", ("messages", 1), "the man", "messages"),
+    ("fig2.game", ("prior",), [0.6, 0.4], "prior"),
+    ("fig2.game", ("exclude",), {"fred": "he"}, "exclude"),
+    ("fig2.game", ("sender_costs",), {"fred": 0.1}, "sender_costs['fred']"),
+    ("fig2.game", ("receiver_costs",), [], "receiver_costs"),
+    ("fig2.game", ("bonus_overlap",), {"fred": {"fred": [1.0]}}, "bonus_overlap['fred']['fred']"),
+    ("he_man.disc", ("config",), [], "config"),
+    ("he_man.disc", ("config", "boosts"), [], "config: boosts"),
+    ("he_man.disc", ("utterances",), {}, "utterances"),
+    ("he_man.disc", ("entities",), {}, "entities"),
+    ("he_man.disc", ("form_costs",), [], "form_costs"),
+    ("he_man.disc", ("utterances", 1, "realizations"), {}, "utterances[1]: realizations"),
+    ("he_man.disc", U1_R0 + ("options",), {}, "utterances[1]: realizations[0]: options"),
+    ("man_him.disc", ("compounds",), {}, "compounds"),
+    ("man_him.disc", SECTION + ("propositions",), {}, "compounds[0]: propositions"),
+    ("man_him.disc", SECTION + ("sentences", 0), [], "compounds[0]: sentences"),
+    (
+        "man_him.disc",
+        SECTION + ("propositions", 0, "cost_overrides"),
+        [],
+        "compounds[0]: propositions[0]: cost_overrides",
+    ),
 ]
 
 
@@ -676,6 +700,23 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {field} must be ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"success_bonus": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["overlong_integer", "deep_nesting"],
+    )
+    def test_undecodable_json_is_refused_naming_the_file(self, tmp_path, capsys, text):
+        # ``json.loads`` raises these as a plain ValueError and a
+        # RecursionError, not a JSONDecodeError.
+        path = tmp_path / "bad.game"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=r"bad\.game: "):
+            load_game(path)
+        assert main(["predict", "--game", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
 
     def test_integer_numbers_load_as_their_float_spelling(
