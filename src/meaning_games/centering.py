@@ -31,10 +31,10 @@ from .compound import (
     predict_compound,
 )
 from .errors import InvalidGameError, ScenarioError
-from .game import TOL, Content, MeaningGame, Message, Prior, UtilityModel
-# ``predict`` stays bound here, though slots read ``_pareto_readings``: the
+from .game import TOL, Content, MeaningGame, Message, Prior, UtilityModel, _normalized
+# ``predict`` stays bound here, though slots read ``_view_readings``: the
 # benchmark's tracer wraps ``centering.predict`` to count NP-route predictions.
-from .equilibrium import OffPathRule, _pareto_readings, predict  # noqa: F401
+from .equilibrium import OffPathRule, _SharedView, _view_readings, predict  # noqa: F401
 
 
 class GrammaticalFunction(enum.Enum):
@@ -372,19 +372,15 @@ def salience_priors(state: DiscourseState, candidates: Sequence[str]) -> Prior:
     return Prior.normalized({c: state.salience[c] for c in candidates})
 
 
-def build_np_game(
+def _np_parts(
     state: DiscourseState,
     slot: ReferenceSlot,
     entities: Mapping[str, Entity],
     config: ResolutionConfig,
-) -> MeaningGame:
-    """The reference game of one noun-phrase slot.
-
-    Contents are the candidate entities with salience priors; messages are
-    the expression options priced by lightness; a feature mismatch between
-    an entity and an expression removes the edge.  Both players face the
-    same costs: reference games are common-interest.
-    """
+) -> tuple[list[float], list[list[int]], int]:
+    """The checked parts of a slot's reference game: its candidates'
+    salience prior, per candidate the ascending indices of the options
+    compatible with it, and the index of the used option."""
     for cid in slot.candidates:
         if cid not in entities:
             raise ScenarioError(f"slot {slot.id!r} names unknown candidate {cid!r}")
@@ -399,35 +395,52 @@ def build_np_game(
                 scores[entity] += config.cb_bonus
                 break
 
-    contents = [Content(cid, entities[cid].label) for cid in slot.candidates]
-    messages = [Message(opt.surface) for opt in slot.options]
-    if len({m.id for m in messages}) != len(messages):
+    surfaces = [opt.surface for opt in slot.options]
+    if len(set(surfaces)) != len(surfaces):
         raise ScenarioError(f"slot {slot.id!r} has duplicate expression options")
-
-    sender_cost = {}
-    receiver_cost = {}
+    compatible = []
     for cid in slot.candidates:
         entity = entities[cid]
-        compatible = [o for o in slot.options if o.compatible(entity)]
-        if not compatible:
+        compatible.append([m for m, o in enumerate(slot.options) if o.compatible(entity)])
+        if not compatible[-1]:
             raise InvalidGameError(
                 f"candidate {cid!r} of slot {slot.id!r} has no grammatical expression"
             )
-        for opt in compatible:
+
+    used = surfaces.index(slot.used_option().surface)
+    if not any(used in options for options in compatible):
+        raise InvalidGameError(
+            f"no candidate of slot {slot.id!r} is compatible with the used "
+            f"expression {slot.surface!r}"
+        )
+    return _normalized(scores.values()), compatible, used
+
+
+def build_np_game(
+    state: DiscourseState,
+    slot: ReferenceSlot,
+    entities: Mapping[str, Entity],
+    config: ResolutionConfig,
+) -> MeaningGame:
+    """The reference game of one noun-phrase slot.
+
+    Contents are the candidate entities with salience priors; messages are
+    the expression options priced by lightness; a feature mismatch between
+    an entity and an expression removes the edge.  Both players face the
+    same costs: reference games are common-interest.
+    """
+    prior, compatible, _ = _np_parts(state, slot, entities, config)
+    sender_cost, receiver_cost = {}, {}
+    for cid, options in zip(slot.candidates, compatible):
+        for m in options:
+            opt = slot.options[m]
             sender_cost[(cid, opt.surface)] = opt.form.lightness_cost
             receiver_cost[(opt.surface, cid)] = opt.form.lightness_cost
 
-    used = slot.used_option()
-    if not any((cid, used.surface) in sender_cost for cid in slot.candidates):
-        raise InvalidGameError(
-            f"no candidate of slot {slot.id!r} is compatible with the used "
-            f"expression {used.surface!r}"
-        )
-
     return MeaningGame(
-        tuple(contents),
-        tuple(messages),
-        Prior.normalized(scores),
+        tuple(Content(cid, entities[cid].label) for cid in slot.candidates),
+        tuple(Message(opt.surface) for opt in slot.options),
+        Prior(dict(zip(slot.candidates, prior))),
         UtilityModel(
             sender_bonus=config.success_bonus,
             receiver_bonus=config.success_bonus,
@@ -661,8 +674,14 @@ def _resolve_slot_by_game(
     config: ResolutionConfig,
     utterance_index: int,
 ) -> SlotResolution:
-    game = build_np_game(state, slot, entities, config)
-    readings = sorted(_pareto_readings(game, config.off_path, config.cap, slot.surface))
+    """The slot resolved in the game ``build_np_game`` builds, compiled
+    straight from the slot's parts."""
+    prior, compatible, used = _np_parts(state, slot, entities, config)
+    costs = [opt.form.lightness_cost for opt in slot.options]
+    core = _SharedView(
+        slot.candidates, prior, compatible, costs, config.success_bonus, config.off_path
+    )
+    readings = sorted(_view_readings(core, config.cap, used))
     entity = readings.pop() if len(readings) == 1 else None
     return SlotResolution(
         utterance_index, slot.id, slot.surface, entity, tuple(readings), "np-game"

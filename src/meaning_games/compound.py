@@ -33,8 +33,8 @@ from .equilibrium import (
     Prediction,
     Profile,
     _Compiled,
+    _capped,
     _prediction,
-    _search,
     predict,
 )
 from .game import (
@@ -431,7 +431,8 @@ def enumerate_compound(
     it agrees on the contents' links; the flat game's profile count still
     has to pass the cap."""
     core = _Composite(flat, rule)
-    return core.reports(_search(core, cap), composite_belief_builder(flat, rule))
+    pairs = _capped(core, cap).search()
+    return core.reports(pairs, composite_belief_builder(flat, rule))
 
 
 def constituent_expected_utility(
@@ -498,7 +499,7 @@ def predict_compound(
     """
     flat = flatten(cg, cap)
     core = _Composite(flat, rule)
-    front = core.pareto(_search(core, cap))
+    front = core.pareto(_capped(core, cap).search())
     survivors = core.reports(front, composite_belief_builder(flat, rule))
     prediction = _prediction(flat.game, survivors)
 

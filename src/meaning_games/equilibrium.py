@@ -115,12 +115,15 @@ class EquilibriumReport:
         return {m: max(row, key=row.get) for m, row in rows.items()}
 
 
+def _check_rule(rule: OffPathRule) -> None:
+    if rule not in ("prior", "uniform"):
+        raise InvalidGameError(f"unknown off-path rule {rule!r}")
+
+
 def _off_path_row(g: MeaningGame, mid: str, rule: OffPathRule) -> dict[str, float]:
     eligible = g.contents_for(mid)
     if rule == "uniform":
         return {c: 1.0 / len(eligible) for c in eligible}
-    if rule != "prior":
-        raise InvalidGameError(f"unknown off-path rule {rule!r}")
     mass = {c: g.prior[c] for c in eligible}
     total = sum(mass.values())
     if total <= 0.0:
@@ -144,27 +147,30 @@ class _Compiled:
 
     def __init__(self, g: MeaningGame, rule: OffPathRule):
         self.game = g
-        self.rule = rule
-        self.cids = cids = g.content_ids()
-        self.mids = mids = g.message_ids()
+        self.shared = g.utility.shared
+        cids, mids = g.content_ids(), g.message_ids()
         self.c_index = c_index = {c: i for i, c in enumerate(cids)}
-        self.prior = [g.prior[c] for c in cids]
-        self.support = [c for c, p in enumerate(self.prior) if p > 0.0]
         # Edges naming an id outside the game (a stray cost entry) are ignored.
         self.m_index = m_index = {mid: m for m, mid in enumerate(mids)}
-        self.messages_of = [[] for _ in cids]
+        messages_of = [[] for _ in cids]
         for cid, mid in g.edges:
             if cid in c_index and mid in m_index:
-                self.messages_of[c_index[cid]].append(m_index[mid])
-        for options in self.messages_of:
+                messages_of[c_index[cid]].append(m_index[mid])
+        for options in messages_of:
             options.sort()
+        self._set_parts(cids, mids, [g.prior[c] for c in cids], messages_of, rule)
+
+    def _set_parts(self, cids, mids, prior: list[float], messages_of: list[list[int]], rule):
+        # Per content: its prior and its grammatical messages, ascending.
+        self.rule, self.cids, self.mids, self.prior = rule, cids, mids, prior
+        self.support = [c for c, p in enumerate(prior) if p > 0.0]
+        self.messages_of = messages_of
         self.contents_of = [[] for _ in mids]
-        for c, options in enumerate(self.messages_of):
+        for c, options in enumerate(messages_of):
             for m in options:
                 self.contents_of[m].append(c)
         self.used = [m for m, options in enumerate(self.contents_of) if options]
-        if rule not in ("prior", "uniform"):
-            raise InvalidGameError(f"unknown off-path rule {rule!r}")
+        _check_rule(rule)
         self._flat_rows: dict[int, list[tuple[int, float]]] = {}
 
     # -- beliefs -----------------------------------------------------------
@@ -212,7 +218,7 @@ class _Compiled:
 
     @cached_property
     def receiver_u(self) -> list[list[list[float | None] | None]]:
-        if self.game.utility.shared:
+        if self.shared:
             return self.sender_u
         return self._utility_table("R")
 
@@ -481,10 +487,37 @@ class _Compiled:
         )
 
 
+class _SharedView(_Compiled):
+    """A common-interest view given by its parts, with no game behind it:
+    contents ``cids`` with ``prior`` and their grammatical messages in
+    ascending order, message ``m`` costing both players ``costs[m]`` on
+    every reading, and the success bonus.  It builds no reports."""
+
+    shared = True
+
+    def __init__(self, cids, prior, messages_of, costs: list[float], bonus: float, rule):
+        self._set_parts(cids, range(len(costs)), prior, messages_of, rule)
+        self.costs, self.bonus = costs, bonus
+
+    def _utility_table(self, player: Player) -> list[list[list[float | None] | None]]:
+        # ``_Compiled``'s shared cell (bs + br) / 2 - (sc + rc) / 2, with
+        # sc == rc == costs[m] and bs == br == bonus on a hit, else 0.0.
+        hit, n = (self.bonus + self.bonus) / 2.0, len(self.cids)
+        table = [[None] * len(self.mids) for _ in self.cids]
+        for m, readings in enumerate(self.contents_of):
+            k = (self.costs[m] + self.costs[m]) / 2.0
+            for c in readings:
+                row = table[c][m] = [None] * n
+                for a in readings:
+                    row[a] = hit - k if a == c else 0.0 - k
+        return table
+
+
 def posterior_beliefs(
     g: MeaningGame, s: SenderStrategy, rule: OffPathRule = "prior"
 ) -> BeliefSystem:
     """Bayes posteriors over contents for every message with an edge."""
+    _check_rule(rule)
     _validate_sender(g, s)
     posterior: dict[str, dict[str, float]] = {}
     on_path = set()
@@ -566,12 +599,10 @@ def classify_profile(g: MeaningGame, smap: Mapping[str, str]) -> str:
     return "partial"
 
 
-def _search(
-    core: _Compiled, cap: int | None
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The index pairs of the pure equilibria of the view ``core``.  The
-    view is refused when its count of deterministic profiles, the product
-    of every content's and every used message's options, exceeds the cap."""
+def _capped(core: _Compiled, cap: int | None) -> _Compiled:
+    """The view ``core``, refused when its count of deterministic profiles,
+    the product of every content's and every used message's options,
+    exceeds the cap."""
     cap = DEFAULT_CAP if cap is None else cap
     total = prod(map(len, core.messages_of)) * prod(
         len(core.contents_of[m]) for m in core.used
@@ -582,7 +613,7 @@ def _search(
             "flatten compound structure coarsely, prune the game by the "
             "observed message, or raise the cap"
         )
-    return core.search()
+    return core
 
 
 def enumerate_pure_equilibria(
@@ -607,7 +638,7 @@ def enumerate_pure_equilibria(
     rule's key).  Reports are built only for the profiles that pass.
     """
     core = _Compiled(g, rule)
-    return core.reports(_search(core, cap))
+    return core.reports(_capped(core, cap).search())
 
 
 def _dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -687,7 +718,7 @@ def predict(
     """Pareto filter over the pure equilibria; ties all returned.  Only
     the survivors' reports are built."""
     core = _Compiled(g, rule)
-    return _prediction(g, core.reports(core.pareto(_search(core, cap))))
+    return _prediction(g, core.reports(core.pareto(_capped(core, cap).search())))
 
 
 def _pareto_readings(
@@ -696,12 +727,24 @@ def _pareto_readings(
     """``predict(g, rule, cap).readings_of(mid)``, read off the Pareto
     survivors' index pairs without building their reports."""
     core = _Compiled(g, rule)
-    pairs = _search(core, cap)
-    try:
-        i = core.used.index(core.mids.index(mid))
-    except ValueError:  # unknown, or no content may send it
+    return _view_readings(core, cap, core.m_index.get(mid))
+
+
+def _view_readings(core: _Compiled, cap: int | None, m: int | None) -> set[str]:
+    """The readings the Pareto-optimal pure equilibria of the view ``core``
+    give message ``m`` (None if unknown), once the cap admits the view.  In
+    a common-interest game whose every content has a message, the profile
+    of highest expected utility (with best replies off the path) is a
+    Pareto-optimal equilibrium, so a message with one reading is read that
+    way: no search is needed."""
+    _capped(core, cap)
+    readings = () if m is None else core.contents_of[m]
+    if not readings:  # unknown, or no content may send it
         return set()
-    return {core.cids[r[i]] for _, r in core.pareto(pairs)}
+    if core.shared and len(readings) == 1 and all(core.messages_of):
+        return {core.cids[readings[0]]}
+    i = core.used.index(m)
+    return {core.cids[r[i]] for _, r in core.pareto(core.search())}
 
 
 def _per_message_cost(

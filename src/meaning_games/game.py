@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, Mapping
+from typing import Collection, Iterator, Literal, Mapping
 
 from .errors import InvalidGameError
 
@@ -58,13 +58,18 @@ class Prior:
 
     @staticmethod
     def normalized(weights: Mapping[str, float]) -> "Prior":
-        total = sum(weights.values())
-        if total <= 0:
-            raise InvalidGameError("prior weights must have positive total mass")
-        return Prior({cid: w / total for cid, w in weights.items()})
+        return Prior(dict(zip(weights, _normalized(weights.values()))))
 
     def __getitem__(self, cid: str) -> float:
         return self.weights[cid]
+
+
+def _normalized(weights: Collection[float]) -> list[float]:
+    """The weights divided by their total, which must be positive."""
+    total = sum(weights)
+    if total <= 0:
+        raise InvalidGameError("prior weights must have positive total mass")
+    return [w / total for w in weights]
 
 
 @dataclass(frozen=True)

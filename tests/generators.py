@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from meaning_games import (
     CompatibilityRelation,
@@ -197,6 +198,33 @@ def random_strict_discourse(rng: random.Random) -> Discourse:
         )
     second = Utterance(2, tuple(slots))
     return Discourse(entities, (first, second), ResolutionConfig())
+
+
+def random_featured_discourse(rng: random.Random) -> Discourse:
+    """``random_strict_discourse`` with a gender on every entity and on some
+    options, so a used expression may fit one candidate or several; every
+    candidate keeps a compatible option and the used one fits a candidate."""
+    discourse = random_strict_discourse(rng)
+    entities = {
+        e: replace(entity, features={"gender": rng.choice("mf")})
+        for e, entity in discourse.entities.items()
+    }
+    first, second = discourse.utterances
+    slots = []
+    for slot in second.realizations:
+        candidates = [entities[c] for c in slot.candidates]
+        while True:
+            options = tuple(
+                replace(o, requires=rng.choice([{}, {"gender": "m"}, {"gender": "f"}]))
+                for o in slot.options
+            )
+            if all(any(o.compatible(e) for o in options) for e in candidates):
+                break
+        used = rng.choice([o for o in options if any(map(o.compatible, candidates))])
+        slots.append(replace(slot, surface=used.surface, options=options))
+    return replace(
+        discourse, entities=entities, utterances=(first, Utterance(2, tuple(slots)))
+    )
 
 
 def random_constituent(rng: random.Random, tag: str, shared: bool) -> MeaningGame:

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meaning_games import (
     Discourse,
@@ -17,6 +19,7 @@ from meaning_games import (
     ReferenceSlot,
     ResolutionConfig,
     ScenarioError,
+    SizeLimitError,
     Utterance,
     accommodate,
     build_np_game,
@@ -29,8 +32,12 @@ from meaning_games import (
     salience_priors,
     validate_game,
 )
-from meaning_games.centering import DEFAULT_FORM_COSTS, validate_form_costs
-from generators import random_strict_discourse
+from meaning_games.centering import (
+    DEFAULT_FORM_COSTS,
+    _resolve_slot_by_game,
+    validate_form_costs,
+)
+from generators import random_featured_discourse, random_strict_discourse
 
 PRONOUN = ExpressionForm(FormKind.PRONOUN, 0.0)
 DEFINITE = ExpressionForm(FormKind.DEFINITE_NP, 0.5)
@@ -588,10 +595,45 @@ def test_unknown_slot_candidate_raises_scenario_error(he_man_path):
         resolve(replace(discourse, utterances=utterances))
 
 
+def route_slots(monkeypatch):
+    """Record the ``(state, slot, entities, config)`` of every slot that
+    ``resolve`` hands to the NP route."""
+    from meaning_games import centering
+
+    routed = []
+
+    def capture(state, slot, entities, config, utterance_index):
+        routed.append((state, slot, entities, config))
+        return _resolve_slot_by_game(state, slot, entities, config, utterance_index)
+
+    monkeypatch.setattr(centering, "_resolve_slot_by_game", capture)
+    return routed
+
+
+def route_readings(state, slot, entities, config):
+    """The readings the NP route finds for the slot."""
+    r = _resolve_slot_by_game(state, slot, entities, config, 0)
+    return {r.entity} if r.resolved else set(r.alternatives)
+
+
+def game_path_readings(state, slot, entities, config):
+    """The readings of the slot's ``MeaningGame``: through
+    ``_pareto_readings``, and through the public prediction."""
+    from meaning_games.equilibrium import _pareto_readings, predict
+
+    g = build_np_game(state, slot, entities, config)
+    rule, cap = config.off_path, config.cap
+    return (
+        _pareto_readings(g, rule, cap, slot.surface),
+        predict(g, rule, cap).readings_of(slot.surface),
+    )
+
+
 class TestParetoReadings:
-    """The NP route reads readings off the core's Pareto pairs; they must be
-    the readings the public prediction gives, on every NP game built while
-    resolving, under both off-path rules."""
+    """The NP route compiles each slot's game straight from the slot; its
+    readings must be those of the slot's ``MeaningGame`` under
+    ``_pareto_readings`` and under the public prediction, on every slot
+    resolved, under both off-path rules."""
 
     def discourses(self, he_man_path, man_him_path):
         from meaning_games import load_discourse
@@ -615,27 +657,18 @@ class TestParetoReadings:
 
     @pytest.mark.parametrize("rule", ["prior", "uniform"])
     def test_agrees_with_predict(self, monkeypatch, he_man_path, man_him_path, rule):
-        from meaning_games import centering
-        from meaning_games.equilibrium import _pareto_readings, predict
-
-        built = []
-
-        def capture(state, slot, entities, config):
-            g = build_np_game(state, slot, entities, config)
-            built.append((g, slot.surface, config))
-            return g
-
-        monkeypatch.setattr(centering, "build_np_game", capture)
+        routed = route_slots(monkeypatch)
         for discourse in self.discourses(he_man_path, man_him_path):
             resolve(discourse, replace(discourse.config, off_path=rule))
 
-        assert len(built) > 30
+        assert len(routed) > 30
         tied = 0
-        for g, surface, config in built:
+        for state, slot, entities, config in routed:
             assert config.off_path == rule
-            expected = predict(g, rule, config.cap).readings_of(surface)
-            assert _pareto_readings(g, rule, config.cap, surface) == expected
-            tied += len(expected) > 1
+            readings = route_readings(state, slot, entities, config)
+            by_game, predicted = game_path_readings(state, slot, entities, config)
+            assert readings == by_game == predicted
+            tied += len(predicted) > 1
         assert tied > 0
 
     def test_message_without_edges_has_no_reading(self):
@@ -651,6 +684,150 @@ class TestParetoReadings:
         for mid in ("she", "nobody"):
             assert _pareto_readings(g, "prior", None, mid) == set()
             assert predict(g).readings_of(mid) == set()
+
+
+class TestDirectNpRoute:
+    """The NP route compiles a slot's game from the slot and reads a used
+    expression that fits one candidate without a search: it must give the
+    readings and raise the errors of the slot's ``MeaningGame``."""
+
+    def test_featured_discourses_mix_one_and_many_reading_slots(self):
+        fits = []
+        for seed in range(20):
+            discourse = random_featured_discourse(random.Random(seed))
+            for slot in discourse.utterances[1].slots():
+                used = slot.used_option()
+                fits.append(
+                    sum(used.compatible(discourse.entities[c]) for c in slot.candidates)
+                )
+        assert 1 in fits and max(fits) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_readings_equal_the_game_path(self, seed):
+        rng = random.Random(seed)
+        discourse = random_featured_discourse(rng)
+        config = replace(
+            discourse.config,
+            off_path=rng.choice(["prior", "uniform"]),
+            cb_bonus=rng.choice([0.0, rng.uniform(0.1, 1.0)]),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            routed = route_slots(mp)
+            resolve(discourse, config)
+        assert routed
+        for state, slot, entities, config in routed:
+            zeroed = replace(state, salience={**state.salience, slot.candidates[0]: 0.0})
+            for start in (state, zeroed):
+                readings = route_readings(start, slot, entities, config)
+                by_game = game_path_readings(start, slot, entities, config)
+                assert [readings] * 2 == list(by_game)
+
+    ENTITIES = {**MALE_ENTITIES, "ann": Entity("ann", "Ann", {"gender": "female"})}
+    HE = ExpressionOption("he", PRONOUN, {"gender": "male"})
+    SHE = ExpressionOption("she", PRONOUN, {"gender": "female"})
+    PERSON = ExpressionOption("the person", DEFINITE)
+    # Per case: slot changes, config changes (set past the config's own
+    # checks), whether the state lacks max, and the error every path raises.
+    ERRORS = {
+        "unknown candidate": (
+            {"candidates": ("fred", "zed")}, {}, False,
+            ScenarioError, "slot 's' names unknown candidate 'zed'",
+        ),
+        "missing salience": (
+            {}, {}, True, InvalidGameError, "slot 's' has no salience for ['max']",
+        ),
+        "duplicate candidates": (
+            {"candidates": ("fred", "fred")}, {}, False,
+            InvalidGameError, "slot 's' has duplicate candidates",
+        ),
+        "duplicate options": (
+            {"options": (HE, HE)}, {}, False,
+            ScenarioError, "slot 's' has duplicate expression options",
+        ),
+        "candidate without expression": (
+            {"options": (HE,), "candidates": ("fred", "ann")}, {}, False,
+            InvalidGameError, "candidate 'ann' of slot 's' has no grammatical expression",
+        ),
+        "used surface not an option": (
+            {"surface": "it"}, {}, False,
+            ScenarioError, "slot 's': used surface 'it' is not among its options",
+        ),
+        "used expression fits no candidate": (
+            {"surface": "she", "options": (HE, SHE)}, {}, False,
+            InvalidGameError,
+            "no candidate of slot 's' is compatible with the used expression 'she'",
+        ),
+        "zero total salience": (
+            {"candidates": ("ann",), "options": (SHE,), "surface": "she"},
+            {"initial_salience": 0.0}, False,
+            InvalidGameError, "prior weights must have positive total mass",
+        ),
+        "unknown off-path rule": (
+            {}, {"off_path": "bogus"}, False,
+            InvalidGameError, "unknown off-path rule 'bogus'",
+        ),
+        "cap below the profile count": (
+            {}, {"cap": 15}, False,
+            SizeLimitError, "16 deterministic profiles exceed the cap of 15",
+        ),
+        "cap below the profile count, one reading": (
+            {"candidates": ("fred", "ann"), "options": (HE, SHE, PERSON)},
+            {"cap": 7}, False,
+            SizeLimitError, "8 deterministic profiles exceed the cap of 7",
+        ),
+        # Doubly bad input keeps the first error.
+        "unknown and duplicate candidates": (
+            {"candidates": ("zed", "fred", "fred")}, {}, False,
+            ScenarioError, "slot 's' names unknown candidate 'zed'",
+        ),
+        "duplicate candidates and options": (
+            {"candidates": ("fred", "fred"), "options": (HE, HE)}, {}, False,
+            InvalidGameError, "slot 's' has duplicate candidates",
+        ),
+        "no expression and used fits none": (
+            {"options": (SHE,), "surface": "she"}, {}, False,
+            InvalidGameError, "candidate 'fred' of slot 's' has no grammatical expression",
+        ),
+        "zero salience and unknown rule": (
+            {"candidates": ("ann",), "options": (SHE,), "surface": "she"},
+            {"initial_salience": 0.0, "off_path": "bogus"}, False,
+            InvalidGameError, "prior weights must have positive total mass",
+        ),
+        "unknown rule and cap": (
+            {}, {"off_path": "bogus", "cap": 1}, False,
+            InvalidGameError, "unknown off-path rule 'bogus'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_error_parity(self, case):
+        from meaning_games.equilibrium import _pareto_readings
+
+        slot_changes, config_changes, drop_max, error, text = self.ERRORS[case]
+        slot = replace(man_slot("s", GrammaticalFunction.SUBJECT, "he"), **slot_changes)
+        config = ResolutionConfig()
+        for name, value in config_changes.items():
+            object.__setattr__(config, name, value)
+        state = DiscourseState.initial(sorted(self.ENTITIES), config)
+        state = ingest(state, scolding_utterance(), config)
+        if drop_max:
+            del state.salience["max"]
+        paths = [
+            lambda: _resolve_slot_by_game(state, slot, self.ENTITIES, config, 2),
+            lambda: _pareto_readings(
+                build_np_game(state, slot, self.ENTITIES, config),
+                config.off_path, config.cap, slot.surface,
+            ),
+        ]
+        if not drop_max:  # every entity of a discourse has a salience
+            u2 = Utterance(2, (slot,))
+            discourse = Discourse(self.ENTITIES, (scolding_utterance(), u2), config)
+            paths.append(lambda: resolve(discourse))
+        for path in paths:
+            with pytest.raises(error) as raised:
+                path()
+            assert str(raised.value).split(";")[0] == text
 
 
 class TestConfigContract:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from meaning_games import (
     Content,
+    InvalidGameError,
     MeaningGame,
     Message,
     NotApplicableError,
@@ -73,6 +74,12 @@ class TestPosteriorBeliefs:
         assert beliefs.at("the man")["fred"] == pytest.approx(0.36)
         assert beliefs.at("the man")["max"] == pytest.approx(0.64)
         assert beliefs.on_path == {"he", "the man"}
+
+    def test_unknown_off_path_rule_refused_with_every_message_on_path(self):
+        g = pronoun_game()
+        s = SenderStrategy.deterministic({"fred": "he", "max": "the man"})
+        with pytest.raises(InvalidGameError, match="^unknown off-path rule 'bogus'$"):
+            posterior_beliefs(g, s, "bogus")
 
 
 class TestIsEquilibrium:
@@ -259,6 +266,19 @@ class TestPareto:
 
 
 class TestPredict:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["prior", "uniform"]))
+    def test_common_interest_reads_a_one_reading_message_that_way(self, seed, rule):
+        # The premise of the NP route's shortcut: a common-interest game
+        # always has a Pareto-optimal pure equilibrium, and it can read a
+        # message with one grammatical reading only that way.
+        g = random_valid_game(random.Random(seed), max_size=4, shared=True)
+        prediction = predict(g, rule)
+        assert prediction.reports
+        for mid in g.message_ids():
+            if len(g.contents_for(mid)) == 1:
+                assert prediction.readings_of(mid) == set(g.contents_for(mid))
+
     def test_unique_matched_interpretation(self):
         prediction = predict(pronoun_game())
         assert not prediction.ambiguous
