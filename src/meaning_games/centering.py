@@ -142,7 +142,10 @@ class ExpressionOption:
     requires: Mapping[str, str] = field(default_factory=dict)
 
     def compatible(self, entity: Entity) -> bool:
-        return all(entity.features.get(k) == v for k, v in self.requires.items())
+        for k, v in self.requires.items():  # cheaper than all() on tiny dicts
+            if entity.features.get(k) != v:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,8 @@ class ResolutionConfig:
             )
         if any(b <= 0 for b in self.boosts.values()):
             raise ScenarioError("accommodation boosts must be positive")
+        if self.cb_bonus < 0:
+            raise ScenarioError("cb bonus must be nonnegative")
         if self.parallelism_penalty < 0:
             raise ScenarioError("parallelism penalty must be nonnegative")
         if self.success_bonus < 0:

@@ -35,7 +35,9 @@ from .equilibrium import (
     _Compiled,
     _capped,
     _prediction,
-    predict,
+    # Bound here for the benchmark's tracer, which wraps ``compound.predict``;
+    # constituents are solved on the compound's own views.
+    predict,  # noqa: F401
 )
 from .game import (
     TOL,
@@ -339,14 +341,15 @@ class _Composite(_Compiled):
         return self.flat_off_path_row(m)
 
 
-def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior"):
+def composite_belief_builder(flat: Flattened, rule: OffPathRule = "prior", *, _core=None):
     """Belief builder whose off-path fallback factors through components:
     the rows of ``_Composite``, which the compound search checks receivers
     against.  It takes pure senders only: an invalid sender raises
     ``InvalidGameError``, and one that mixes over messages for some content
-    raises ``NotApplicableError``.
+    raises ``NotApplicableError``.  A compound solve passes its own view of
+    ``flat`` under ``rule`` as ``_core``, so the game is not compiled again.
     """
-    core = _Composite(flat, rule)
+    core = _Composite(flat, rule) if _core is None else _core
 
     def build(sender: SenderStrategy) -> BeliefSystem:
         _validate_sender(flat.game, sender)
@@ -432,7 +435,7 @@ def enumerate_compound(
     has to pass the cap."""
     core = _Composite(flat, rule)
     pairs = _capped(core, cap).search()
-    return core.reports(pairs, composite_belief_builder(flat, rule))
+    return core.reports(pairs, composite_belief_builder(flat, rule, _core=core))
 
 
 def constituent_expected_utility(
@@ -500,15 +503,17 @@ def predict_compound(
     flat = flatten(cg, cap)
     core = _Composite(flat, rule)
     front = core.pareto(_capped(core, cap).search())
-    survivors = core.reports(front, composite_belief_builder(flat, rule))
+    survivors = core.reports(front, composite_belief_builder(flat, rule, _core=core))
     prediction = _prediction(flat.game, survivors)
 
-    own = [predict(c.game, rule, cap) for c in cg.constituents]
+    # Each constituent's own Pareto-optimal equilibria, from its view in
+    # ``core``: the utility tables ``induced_eus`` reads are built once.
+    own = [sub.reports(sub.pareto(_capped(sub, cap).search())) for *_, sub in core.slots]
     all_annotations = []
     for pair in front:
         annotations = []
         for k, (ind_s, ind_r) in enumerate(core.induced_eus(*pair)):
-            constituent, own_reports = cg.constituents[k], own[k].reports
+            constituent, own_reports = cg.constituents[k], own[k]
             if own_reports:
                 optimal = any(
                     ind_s >= r.eu_sender - TOL and ind_r >= r.eu_receiver - TOL

@@ -304,7 +304,10 @@ def _parse_config(data: Mapping) -> ResolutionConfig:
     """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
     cfg = _object(data.get("config", {}), "config")
     names = "initial_salience rank_weight cb_bonus success_bonus parallelism_penalty"
-    fields = {k: _number(cfg[k], "config: ", (), k) for k in names.split() if k in cfg}
+    least = {"cb_bonus": 0}  # ``ResolutionConfig`` checks the others' ranges
+    fields = {
+        k: _number(cfg[k], "config: ", (), k, least.get(k)) for k in names.split() if k in cfg
+    }
     if "off_path" in cfg:
         fields["off_path"] = _ident(cfg["off_path"], "config: off_path")
     if "cap" in cfg:
@@ -336,12 +339,13 @@ def _parse_discourse(data: Mapping) -> Discourse:
         form_costs[FormKind.from_tag(tag)] = cost
     validate_form_costs(form_costs)
     config = _parse_config(data)
+    forms = {kind: ExpressionForm(kind, cost) for kind, cost in form_costs.items()}
 
     def form_of(entry: Mapping, where: str, at: tuple) -> ExpressionForm:
         """The form ``entry`` names, at its own cost if it gives one."""
         kind = FormKind.from_tag(_ident(entry["form"], where, at, "form"))
         if "cost" not in entry:
-            return ExpressionForm(kind, form_costs[kind])
+            return forms[kind]
         return ExpressionForm(kind, _number(entry["cost"], where, at, "cost", 0))
 
     utterance = "utterances[{}]: "

@@ -866,6 +866,13 @@ class TestConfigContract:
         with pytest.raises(ScenarioError, match="success bonus"):
             ResolutionConfig(success_bonus=-1.0)
 
+    def test_negative_cb_bonus_rejected(self):
+        # ``_np_parts`` adds the bonus only when positive, so a negative one
+        # would be ignored without a word.
+        with pytest.raises(ScenarioError, match="cb bonus must be nonnegative"):
+            ResolutionConfig(cb_bonus=-5.0)
+        assert ResolutionConfig(cb_bonus=0.0).cb_bonus == 0.0
+
     def test_unknown_off_path_rule_rejected(self):
         with pytest.raises(ScenarioError, match="off-path"):
             ResolutionConfig(off_path="nearest")

@@ -26,10 +26,13 @@ from meaning_games import (
     expected_utility,
     flatten,
     is_equilibrium,
+    predict,
     predict_compound,
     validate_game,
 )
 from meaning_games.compound import product_receiver_filter, product_sender_filter
+from meaning_games.equilibrium import _Compiled
+from meaning_games.game import TOL
 from generators import (
     message_cost_game,
     pronoun_game,
@@ -574,3 +577,77 @@ class TestPredictCompound:
         )
         result = predict_compound(cg)
         assert result.prediction.ambiguous
+
+
+class TestSharedViews:
+    """A compound solve compiles each game once and reads every answer off
+    those views; the answers are those of separately compiled games."""
+
+    @staticmethod
+    def compounds(seed, count):
+        rng = random.Random(seed)
+        found = []
+        while len(found) < count:
+            cg = random_compound(rng, constrained=len(found) % 2 == 1)
+            if len(found) % 5 == 0:
+                cg = with_zero_prior(cg)
+            try:
+                found.append((cg, flatten(cg)))
+            except InvalidGameError:
+                continue
+        return found
+
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_annotations_agree_with_each_constituents_own_prediction(self, rule):
+        for cg, flat in self.compounds(71, 30):
+            result = predict_compound(cg, rule)
+            own = [predict(c.game, rule).reports for c in cg.constituents]
+            assert len(result.annotations) == len(result.prediction.reports)
+            for report, annotations in zip(result.prediction.reports, result.annotations):
+                for k, (a, reports) in enumerate(zip(annotations, own)):
+                    ind_s, ind_r = a.induced_eu_sender, a.induced_eu_receiver
+                    for player, induced in (("S", ind_s), ("R", ind_r)):
+                        eu = constituent_expected_utility(flat, k, report.profile, player)
+                        assert induced == pytest.approx(eu, abs=1e-12)
+                    assert a.slot_id == cg.constituents[k].slot.id
+                    expected = (True, ind_s, ind_r)
+                    if reports:
+                        expected = (
+                            any(
+                                ind_s >= r.eu_sender - TOL and ind_r >= r.eu_receiver - TOL
+                                for r in reports
+                            ),
+                            max(r.eu_sender for r in reports),
+                            max(r.eu_receiver for r in reports),
+                        )
+                    assert (a.locally_optimal, a.best_eu_sender, a.best_eu_receiver) == expected
+
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_reports_carry_the_public_builders_beliefs(self, rule):
+        for cg, flat in self.compounds(72, 30):
+            build = composite_belief_builder(flat, rule)
+            reports = enumerate_compound(flat, rule)
+            survivors = predict_compound(cg, rule).prediction.reports
+            for r in reports + list(survivors):
+                assert r.beliefs == build(r.profile.sender)
+            assert all(r in reports for r in survivors)
+
+    def test_each_game_is_compiled_once_per_call(self, monkeypatch):
+        compiled = []
+        init = _Compiled.__init__
+
+        def counted(self, *args):
+            compiled.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_Compiled, "__init__", counted)
+        single = CompoundGame((ConstituentGame(Slot("np"), pronoun_game()),))
+        for cg in [single] + [cg for cg, _ in self.compounds(73, 4)]:
+            k = len(cg.constituents)
+            flat = flatten(cg)
+            compiled.clear()
+            predict_compound(cg)
+            assert len(compiled) == 1 + k
+            compiled.clear()
+            enumerate_compound(flat)
+            assert len(compiled) == 1 + k

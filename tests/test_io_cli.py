@@ -249,6 +249,7 @@ BAD_DISCOURSES = {
     "entity_without_id": lambda d: d["entities"][0].pop("id"),
     "negative_success_bonus": lambda d: d["config"].update(success_bonus=-1),
     "nan_cb_bonus": lambda d: d["config"].update(cb_bonus=float("nan")),
+    "negative_cb_bonus": lambda d: d["config"].update(cb_bonus=-5),
     "inf_form_cost": lambda d: d["form_costs"].update(proper_name=float("inf")),
     "unknown_boost_form": lambda d: d["config"].update(boosts={"epithet": 2.0}),
     "unknown_realization_form": lambda d: d["utterances"][0]["realizations"][0].update(
@@ -617,6 +618,14 @@ class TestCli:
         data["config"]["cap"] = 1000
         path.write_text(json.dumps(data))
         assert load_discourse(path).config.cap == 1000
+
+    def test_negative_cb_bonus_is_refused_naming_its_field(self, he_man_path):
+        data = json.loads(he_man_path.read_text())
+        data["config"]["cb_bonus"] = -5.0
+        with pytest.raises(ScenarioError, match="config: cb_bonus must be"):
+            parse_discourse(data)
+        data["config"]["cb_bonus"] = 0
+        assert parse_discourse(data).config.cb_bonus == 0.0
 
     def test_non_finite_prior_exit_code(self, tmp_path, capsys):
         path = tmp_path / "nan.game"
