@@ -30,9 +30,10 @@ from .errors import MeaningGameError, ScenarioError
 from .scenario_io import (
     RunReport,
     _check_cap,
+    _decode_json,
     config_hash,
-    load_discourse,
-    read_game_spec,
+    parse_discourse,
+    parse_game,
     render_machine,
     render_table,
 )
@@ -74,8 +75,14 @@ def _effective_cap(args, spec_cap: int | None) -> int | None:
     return spec_cap
 
 
+def _load(args, path, parse):
+    """The input file ``path``, parsed by ``parse`` from the bytes ``main``
+    read and hashed, so the answer and the hash describe the same contents."""
+    return parse(_decode_json(args.files[str(path)], path), path)
+
+
 def _game_inputs(args):
-    spec = read_game_spec(args.game)
+    spec = _load(args, args.game, parse_game)
     rule = args.off_path or spec.off_path
     cap = _effective_cap(args, spec.cap)
     return spec, rule, cap
@@ -83,15 +90,15 @@ def _game_inputs(args):
 
 def _cmd_validate(args) -> tuple[dict, int]:
     if args.game:
-        # ``read_game_spec`` refuses a game with any validation error.
-        spec = read_game_spec(args.game)
+        # ``parse_game`` refuses a game with any validation error.
+        spec = _load(args, args.game, parse_game)
         payload = {
             "target": str(args.game),
             "errors": [],
             "warnings": list(spec.warnings),
         }
         return payload, EXIT_OK
-    discourse = load_discourse(args.discourse)
+    discourse = _load(args, args.discourse, parse_discourse)
     payload = {
         "target": str(args.discourse),
         "entities": sorted(discourse.entities),
@@ -144,7 +151,7 @@ def _discourse_config(args, discourse):
 
 
 def _cmd_resolve(args) -> tuple[dict, int]:
-    discourse = load_discourse(args.discourse)
+    discourse = _load(args, args.discourse, parse_discourse)
     config = _discourse_config(args, discourse)
     report = centering.resolve(discourse, config)
     payload = {
@@ -178,7 +185,7 @@ def _cmd_resolve(args) -> tuple[dict, int]:
 
 
 def _cmd_compound(args) -> tuple[dict, int]:
-    discourse = load_discourse(args.discourse)
+    discourse = _load(args, args.discourse, parse_discourse)
     config = _discourse_config(args, discourse)
     if not discourse.compounds:
         raise MeaningGameError(f"{args.discourse}: no compound sections declared")
@@ -339,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 
-    files = {}
+    args.files = files = {}
     for path in (args.game, args.discourse):
         if path is not None:
             try:
@@ -377,7 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "machine" or args.out is not None:
         machine = render_machine(report)
         if args.out is not None:
-            Path(args.out).write_text(machine + "\n")
+            try:
+                Path(args.out).write_text(machine + "\n")
+            except OSError as exc:
+                print(f"error: {args.out}: {exc}", file=sys.stderr)
+                return EXIT_ERROR
     if args.format == "machine":
         print(machine)
     else:

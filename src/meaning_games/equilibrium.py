@@ -431,8 +431,11 @@ class _Compiled:
         self, s: tuple[int, ...], r: tuple[int, ...]
     ) -> tuple[float, float, float]:
         """Success probability and the sender's and receiver's expected
-        utility of the pure profile ``(s, r)``, summed in content order."""
+        utility of the pure profile ``(s, r)``, summed in content order.
+        When both players read one table, one sum serves both."""
         reading = dict(zip(self.used, r))
+        sender_u, receiver_u = self.sender_u, self.receiver_u
+        shared = receiver_u is sender_u
         success = eu_sender = eu_receiver = 0.0
         for c, p in enumerate(self.prior):
             if p == 0.0:
@@ -441,9 +444,10 @@ class _Compiled:
             a = reading[m]
             if a == c:
                 success += p
-            eu_sender += p * self.sender_u[c][m][a]
-            eu_receiver += p * self.receiver_u[c][m][a]
-        return success, eu_sender, eu_receiver
+            eu_sender += p * sender_u[c][m][a]
+            if not shared:
+                eu_receiver += p * receiver_u[c][m][a]
+        return success, eu_sender, eu_sender if shared else eu_receiver
 
     def pareto(
         self, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -650,11 +654,16 @@ def _dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 def _pareto_front(points: list[tuple[float, float]]) -> list[bool]:
-    """Per payoff pair, whether no other pair dominates it.  Dominance
-    within the tolerance is not transitive, so every pair is checked
-    against every other; equal pairs never dominate each other, so each
-    distinct pair is checked once."""
+    """Per payoff pair, whether no other pair dominates it.  When every
+    pair is (x, x), as in a common-interest game, (x, x) dominates (y, y)
+    exactly when x > y + TOL, so a pair survives unless the best one beats
+    it by more than TOL.  Otherwise, since dominance within the tolerance
+    is not transitive, every pair is checked against every other; equal
+    pairs never dominate each other, so each distinct pair is checked once."""
     distinct = set(points)
+    if distinct and all(x == y for x, y in distinct):
+        top = max(x for x, _ in distinct)
+        return [not top > x + TOL for x, _ in points]
     dominated = {b for b in distinct if any(_dominates(a, b) for a in distinct)}
     return [p not in dominated for p in points]
 

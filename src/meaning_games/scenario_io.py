@@ -51,9 +51,22 @@ from .game import (
 def _read_json(path: str | Path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot read file: {exc}") from exc
+    return _decode_json(data, path)
+
+
+def _decode_json(data: bytes, path: str | Path) -> dict:
+    """The JSON object the bytes ``data`` of file ``path`` spell.  They are
+    read as UTF-8, with CR LF and lone CR line ends turned into LF as
+    ``Path.read_text`` does, so error positions match an editor's; any
+    fault raises ``ScenarioError`` naming ``path``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.strip():
         raise ScenarioError(f"{path}: file is empty")
     try:

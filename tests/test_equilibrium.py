@@ -32,6 +32,7 @@ from generators import (
     random_valid_game,
 )
 import oracle
+from meaning_games.equilibrium import TOL, _Compiled, _dominates, _pareto_front
 
 
 class TestPosteriorBeliefs:
@@ -263,6 +264,51 @@ class TestPareto:
                     )
                 )
                 assert not dominates
+
+
+class TestCommonInterestFront:
+    # Every payoff pair of a common-interest game is (x, x); the front keeps
+    # a pair unless the best beats it by more than the tolerance.
+    top = 0.5 + TOL  # exactly TOL above 0.5 in floats
+
+    @pytest.mark.parametrize(
+        "points, kept",
+        [
+            ([], []),
+            ([(0.25, 0.25)] * 3, [True] * 3),
+            ([(0.1, 0.1), (0.4, 0.4), (0.1, 0.1), (0.4, 0.4)], [False, True, False, True]),
+            ([(0.5, 0.5), (top, top), (0.5, 0.5)], [True] * 3),
+            ([(top, top), (0.5 - 1e-15, 0.5 - 1e-15)], [True, False]),
+            # Off the diagonal every pair is checked: the diagonal rule alone
+            # would drop (2, 0), which no other pair is as good for the sender.
+            ([(1.0, 1.0), (0.5, 0.5), (2.0, 0.0)], [True, False, True]),
+        ],
+        ids=[
+            "empty",
+            "duplicates",
+            "duplicates_below",
+            "exactly_tol_below_kept",
+            "just_below_that_dropped",
+            "one_off_diagonal",
+        ],
+    )
+    def test_front_matches_the_definition(self, points, kept):
+        by_definition = [not any(_dominates(a, b) for a in points) for b in points]
+        assert _pareto_front(points) == by_definition == kept
+
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_predict_matches_the_oracle_on_shared_games(self, rule):
+        rng = random.Random(2026)
+        for _ in range(40):
+            g = random_valid_game(rng, max_size=3, shared=True)
+            survivors = {tuple(sorted(r.sender_map().items())) for r in predict(g, rule).reports}
+            assert survivors == oracle.pareto_maps(g, oracle.enumerate_equilibria(g, rule))
+            core = _Compiled(g, rule)
+            for s, r in core.search():
+                smap = {core.cids[c]: core.mids[m] for c, m in enumerate(s)}
+                rmap = {core.mids[m]: core.cids[a] for m, a in zip(core.used, r)}
+                _, eu_sender, eu_receiver = core.payoffs(s, r)
+                assert eu_sender == eu_receiver == oracle.expected_utility(g, smap, rmap, "R")
 
 
 class TestPredict:

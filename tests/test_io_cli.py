@@ -550,6 +550,14 @@ class TestCli:
         data = json.loads(target.read_text())
         assert data["command"] == "predict"
 
+    def test_out_into_a_missing_directory_fails_cleanly(self, fig2_path, tmp_path, capsys):
+        target = tmp_path / "absent" / "report.json"
+        assert main(["predict", "--game", str(fig2_path), "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {target}: ")
+        assert "Traceback" not in captured.err
+
     def test_cap_environment_variable(self, fig2_path, capsys, monkeypatch):
         monkeypatch.setenv("MEANING_GAMES_CAP", "3")
         assert main(["solve", "--game", str(fig2_path)]) == 1
@@ -727,6 +735,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["game", "discourse"])
+    def test_invalid_utf8_is_refused_naming_the_file(
+        self, fig2_path, he_man_path, tmp_path, capsys, kind
+    ):
+        if kind == "game":
+            data, load, argv = b"\xff\xfe" + fig2_path.read_bytes(), load_game, ["predict"]
+        else:
+            data, load, argv = he_man_path.read_bytes(), load_discourse, ["resolve"]
+            data = data.replace(b'"', b'"\xff', 1)
+        path = tmp_path / f"bad.{kind}"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError, match=rf"bad\.{kind}: "):
+            load(path)
+        assert main(argv + [f"--{kind}", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err
+
+    def test_line_ends_do_not_move_error_positions(self, tmp_path):
+        messages = []
+        for end in ["\n", "\r\n", "\r"]:
+            path = tmp_path / "broken.game"
+            path.write_bytes(f'{{{end}"contents": [,]}}'.encode())
+            with pytest.raises(ScenarioError) as refused:
+                load_game(path)
+            messages.append(str(refused.value))
+        assert messages[0].startswith(f"{path}:2:")
+        assert messages == [messages[0]] * 3
+
+    def test_each_input_is_read_once(self, fig2_path, monkeypatch, capsys):
+        # The config hash and the answer come from the same bytes.
+        reads, read_bytes = [], Path.read_bytes
+
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        monkeypatch.setattr(Path, "read_text", None)
+        assert main(["predict", "--game", str(fig2_path), "--format", "machine"]) == 0
+        assert reads == [fig2_path]
 
     def test_integer_numbers_load_as_their_float_spelling(
         self, fig2_path, man_him_path
