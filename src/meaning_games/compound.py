@@ -298,16 +298,20 @@ class _Composite(_Compiled):
     def induced_eus(self, s: tuple[int, ...], r: tuple[int, ...]) -> list[tuple[float, float]]:
         """Per slot, the sender's and receiver's expected utility in the
         constituent's own game under the pure profile ``(s, r)``: the sums
-        of ``constituent_expected_utility``, term for term."""
+        of ``constituent_expected_utility``, term for term.  A constituent
+        whose players read one table is summed once for both."""
         reading = dict(zip(self.used, r))
         eus = []
         for c_part, m_part, sub in self.slots:
+            sender_u, receiver_u = sub.sender_u, sub.receiver_u
+            shared = receiver_u is sender_u
             eu_sender = eu_receiver = 0.0
             for c in self.support:
                 ck, mk, ak = c_part[c], m_part[s[c]], c_part[reading[s[c]]]
-                eu_sender += self.prior[c] * sub.sender_u[ck][mk][ak]
-                eu_receiver += self.prior[c] * sub.receiver_u[ck][mk][ak]
-            eus.append((eu_sender, eu_receiver))
+                eu_sender += self.prior[c] * sender_u[ck][mk][ak]
+                if not shared:
+                    eu_receiver += self.prior[c] * receiver_u[ck][mk][ak]
+            eus.append((eu_sender, eu_sender if shared else eu_receiver))
         return eus
 
     def off_path_key(self, m: int, s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

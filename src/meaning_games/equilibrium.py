@@ -34,22 +34,12 @@ OffPathRule = str  # "prior" | "uniform"
 BeliefBuilder = Callable[[SenderStrategy], "BeliefSystem"]
 
 
-def _is_point_row(row: Mapping[str, float]) -> bool:
-    return any(p >= 1.0 - TOL for p in row.values())
-
-
 @dataclass(frozen=True)
 class Profile:
     """A sender strategy paired with a receiver strategy."""
 
     sender: SenderStrategy
     receiver: ReceiverStrategy
-
-    @property
-    def deterministic(self) -> bool:
-        return all(_is_point_row(r) for r in self.sender.rows.values()) and all(
-            _is_point_row(r) for r in self.receiver.rows.values()
-        )
 
     @staticmethod
     def from_maps(smap: Mapping[str, str], rmap: Mapping[str, str]) -> "Profile":
@@ -138,7 +128,8 @@ class _Compiled:
     Contents and messages are numbered in game order.  ``sender_u[c][m][a]``
     and ``receiver_u[c][m][a]`` hold each player's utility of intending
     ``c``, sending ``m`` and reading ``a``; entries for ungrammatical pairs
-    are None.  Each table is filled on first use, so a caller that needs
+    are None.  One builder fills both from the view's index-keyed costs and
+    bonuses (``cells``), each table on first use, so a caller that needs
     one player's payoffs does not pay for the other's, and a common-interest
     game, whose two players value every turn alike, builds one table for
     both.  Sums run in content order with the same zero-mass guards as the
@@ -147,22 +138,36 @@ class _Compiled:
 
     def __init__(self, g: MeaningGame, rule: OffPathRule):
         self.game = g
-        self.shared = g.utility.shared
-        cids, mids = g.content_ids(), g.message_ids()
+        u, cids, mids = g.utility, g.content_ids(), g.message_ids()
         self.c_index = c_index = {c: i for i, c in enumerate(cids)}
         # Edges naming an id outside the game (a stray cost entry) are ignored.
         self.m_index = m_index = {mid: m for m, mid in enumerate(mids)}
         messages_of = [[] for _ in cids]
+        sender_cost = [[None] * len(mids) for _ in cids]
+        receiver_cost = [[None] * len(mids) for _ in cids]
         for cid, mid in g.edges:
             if cid in c_index and mid in m_index:
-                messages_of[c_index[cid]].append(m_index[mid])
+                c, m = c_index[cid], m_index[mid]
+                messages_of[c].append(m)
+                sender_cost[c][m] = u.sender_cost[(cid, mid)]
+                receiver_cost[c][m] = u.receiver_cost[(mid, cid)]
         for options in messages_of:
             options.sort()
-        self._set_parts(cids, mids, [g.prior[c] for c in cids], messages_of, rule)
+        bonuses, overlap = None, u.bonus_overlap
+        if overlap is not None:
+            bonuses = [[overlap.get((cid, x), (0.0, 0.0)) for x in cids] for cid in cids]
+        cells = (sender_cost, receiver_cost, (u.sender_bonus, u.receiver_bonus), bonuses)
+        self._set_parts(cids, mids, [g.prior[c] for c in cids], messages_of, rule, u.shared, cells)
 
-    def _set_parts(self, cids, mids, prior: list[float], messages_of: list[list[int]], rule):
+    def _set_parts(
+        self, cids, mids, prior: list[float], messages_of: list[list[int]], rule, shared, cells
+    ):
         # Per content: its prior and its grammatical messages, ascending.
+        # ``cells``: the sender's cost ``[c][m]`` and the receiver's ``[a][m]``
+        # on grammatical pairs, the bonus pair of a hit, and the bonus pair
+        # ``[c][a]`` of every turn instead when bonuses overlap (else None).
         self.rule, self.cids, self.mids, self.prior = rule, cids, mids, prior
+        self.shared, self.cells = shared, cells
         self.support = [c for c, p in enumerate(prior) if p > 0.0]
         self.messages_of = messages_of
         self.contents_of = [[] for _ in mids]
@@ -223,22 +228,18 @@ class _Compiled:
         return self._utility_table("R")
 
     def _utility_table(self, player: Player) -> list[list[list[float | None] | None]]:
-        # The cells of ``_utility_unchecked``, with its expressions, from one
-        # receiver-cost row per message and an overlap bonus row per content.
-        u, cids, mids = self.game.utility, self.cids, self.mids
-        shared, i, overlap = u.shared, 0 if player == SENDER else 1, u.bonus_overlap
-        scost, rcost, hit = u.sender_cost, u.receiver_cost, (u.sender_bonus, u.receiver_bonus)
-        if overlap is not None:
-            bonuses = [[overlap.get((cid, x), (0.0, 0.0)) for x in cids] for cid in cids]
-        table = [[None] * len(mids) for _ in cids]
+        # The cells of ``_utility_unchecked``, with its expressions.
+        scost, rcost, hit, bonuses = self.cells
+        shared, i, n = self.shared, 0 if player == SENDER else 1, len(self.cids)
+        table = [[None] * len(self.mids) for _ in self.cids]
         for m, readings in enumerate(self.contents_of):
-            mid, costs = mids[m], []
+            costs = []
             for a in readings:  # cheaper than a comprehension on tiny games
-                costs.append(rcost[(mid, cids[a])])
+                costs.append(rcost[a][m])
             for c in readings:
-                sc, row = scost[(cids[c], mid)], [None] * len(cids)
+                sc, row = scost[c][m], [None] * n
                 for a, rc in zip(readings, costs):
-                    bs, br = (hit if a == c else (0.0, 0.0)) if overlap is None else bonuses[c][a]
+                    bs, br = (hit if a == c else (0.0, 0.0)) if bonuses is None else bonuses[c][a]
                     if shared:
                         row[a] = (bs + br) / 2.0 - (sc + rc) / 2.0
                     else:
@@ -481,13 +482,15 @@ class _Compiled:
             {mids[m]: {cids[a]: 1.0} for m, a in zip(self.used, r)}
         )
         success, eu_sender, eu_receiver = self.payoffs(s, r)
+        sent = len({s[c] for c in self.support})  # judged on the prior's support
+        kind = "separating" if sent == len(self.support) else "pooling" if sent == 1 else "partial"
         return EquilibriumReport(
             profile=Profile(sender, receiver),
             beliefs=beliefs(sender),
             success=success,
             eu_sender=eu_sender,
             eu_receiver=eu_receiver,
-            kind=classify_profile(self.game, smap),
+            kind=kind,
         )
 
 
@@ -497,24 +500,10 @@ class _SharedView(_Compiled):
     ascending order, message ``m`` costing both players ``costs[m]`` on
     every reading, and the success bonus.  It builds no reports."""
 
-    shared = True
-
     def __init__(self, cids, prior, messages_of, costs: list[float], bonus: float, rule):
-        self._set_parts(cids, range(len(costs)), prior, messages_of, rule)
-        self.costs, self.bonus = costs, bonus
-
-    def _utility_table(self, player: Player) -> list[list[list[float | None] | None]]:
-        # ``_Compiled``'s shared cell (bs + br) / 2 - (sc + rc) / 2, with
-        # sc == rc == costs[m] and bs == br == bonus on a hit, else 0.0.
-        hit, n = (self.bonus + self.bonus) / 2.0, len(self.cids)
-        table = [[None] * len(self.mids) for _ in self.cids]
-        for m, readings in enumerate(self.contents_of):
-            k = (self.costs[m] + self.costs[m]) / 2.0
-            for c in readings:
-                row = table[c][m] = [None] * n
-                for a in readings:
-                    row[a] = hit - k if a == c else 0.0 - k
-        return table
+        rows = [costs] * len(cids)
+        cells = (rows, rows, (bonus, bonus), None)
+        self._set_parts(cids, range(len(costs)), prior, messages_of, rule, True, cells)
 
 
 def posterior_beliefs(
@@ -590,17 +579,6 @@ def is_equilibrium(
                 )
 
     return EquilibriumCheck(True)
-
-
-def classify_profile(g: MeaningGame, smap: Mapping[str, str]) -> str:
-    """Separating, pooling, or partial, judged on the prior's support."""
-    support = [c for c in g.content_ids() if g.prior[c] > 0.0]
-    sent = [smap[c] for c in support]
-    if len(set(sent)) == len(sent):
-        return "separating"
-    if len(set(sent)) == 1:
-        return "pooling"
-    return "partial"
 
 
 def _capped(core: _Compiled, cap: int | None) -> _Compiled:

@@ -164,6 +164,16 @@ def _id_label(entry: Mapping, where: str, at: tuple) -> tuple[str, str]:
     return eid, _ident(entry.get("label", eid), where, at, "label")
 
 
+def _known_keys(value: dict, names: str, where: str) -> None:
+    """Refuse a key of the JSON object ``value`` outside the space-separated
+    ``names``: a misspelled key would otherwise load as a different file."""
+    known = names.split()
+    for key in value:
+        if key not in known:
+            keys = ", ".join(known)
+            raise ScenarioError(f"{where} must be an object with keys among {keys}; got {key!r}")
+
+
 def _check_cap(value: Any, where: str) -> int:
     """``value`` as a solver cap: a non-negative integer, not a bool."""
     if type(value) is not int or value < 0:
@@ -215,6 +225,7 @@ def _parse_game(data: Mapping) -> tuple[GameSpec, list[str]]:
 
     bonus = data.get("success_bonus", 1.0)
     if isinstance(bonus, Mapping):
+        _known_keys(bonus, "sender receiver", "success_bonus")
         sender_bonus = _number(bonus.get("sender", 1.0), "success_bonus: sender")
         receiver_bonus = _number(bonus.get("receiver", 1.0), "success_bonus: receiver")
     else:
@@ -317,6 +328,7 @@ def _parse_config(data: Mapping) -> ResolutionConfig:
     """The config the file sets, on top of the ``ResolutionConfig`` defaults."""
     cfg = _object(data.get("config", {}), "config")
     names = "initial_salience rank_weight cb_bonus success_bonus parallelism_penalty"
+    _known_keys(cfg, names + " off_path cap boosts", "config")
     least = {"cb_bonus": 0}  # ``ResolutionConfig`` checks the others' ranges
     fields = {
         k: _number(cfg[k], "config: ", (), k, least.get(k)) for k in names.split() if k in cfg

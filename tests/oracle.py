@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from meaning_games.game import _utility_unchecked
+
 TOL = 1e-9
 
 
@@ -29,6 +31,25 @@ def turn_utility(g, intended, sent, interpreted, player):
 
 def _edge(g, c, m):
     return (c, m) in g.edges
+
+
+def utility_table(g, player):
+    """The compiled table layout, ``[c][m][a]`` in game order, filled cell by
+    cell from the string-keyed ``_utility_unchecked``: None where ``c``
+    cannot send ``m``, and at each reading ``a`` that ``m`` cannot carry."""
+    cids, mids = g.content_ids(), g.message_ids()
+    return [
+        [
+            [
+                _utility_unchecked(g, c, m, a, player) if _edge(g, a, m) else None
+                for a in cids
+            ]
+            if _edge(g, c, m)
+            else None
+            for m in mids
+        ]
+        for c in cids
+    ]
 
 
 def _off_path(g, m, rule):

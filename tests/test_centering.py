@@ -723,6 +723,35 @@ class TestDirectNpRoute:
                 by_game = game_path_readings(start, slot, entities, config)
                 assert [readings] * 2 == list(by_game)
 
+    def test_tables_equal_those_of_the_slots_game(self):
+        from meaning_games import centering
+        from meaning_games.equilibrium import _Compiled
+
+        views, checked = [], 0
+        real = centering._view_readings
+
+        def capture(core, cap, m):
+            views.append(core)
+            return real(core, cap, m)
+
+        for seed in range(20):
+            rng = random.Random(seed)
+            discourse = random_featured_discourse(rng)
+            config = replace(discourse.config, cb_bonus=rng.choice([0.0, 0.5]))
+            views.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                routed = route_slots(mp)
+                mp.setattr(centering, "_view_readings", capture)
+                resolve(discourse, config)
+            assert len(views) == len(routed)
+            for view, (state, slot, entities, _) in zip(views, routed):
+                g = build_np_game(state, slot, entities, config)
+                core = _Compiled(g, config.off_path)
+                assert view.sender_u == core.sender_u
+                assert view.receiver_u is view.sender_u
+                checked += 1
+        assert checked
+
     ENTITIES = {**MALE_ENTITIES, "ann": Entity("ann", "Ann", {"gender": "female"})}
     HE = ExpressionOption("he", PRONOUN, {"gender": "male"})
     SHE = ExpressionOption("she", PRONOUN, {"gender": "female"})

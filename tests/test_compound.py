@@ -30,7 +30,7 @@ from meaning_games import (
     predict_compound,
     validate_game,
 )
-from meaning_games.compound import product_receiver_filter, product_sender_filter
+from meaning_games.compound import _Composite, product_receiver_filter, product_sender_filter
 from meaning_games.equilibrium import _Compiled
 from meaning_games.game import TOL
 from generators import (
@@ -631,6 +631,16 @@ class TestSharedViews:
             for r in reports + list(survivors):
                 assert r.beliefs == build(r.profile.sender)
             assert all(r in reports for r in survivors)
+
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    def test_tables_are_the_flat_and_constituent_games_utilities(self, rule):
+        for cg, flat in self.compounds(73, 20):
+            view = _Composite(flat, rule)
+            games = [(view, flat.game)]
+            games += [(sub, c.game) for (_, _, sub), c in zip(view.slots, cg.constituents)]
+            for core, g in games:
+                assert core.sender_u == oracle.utility_table(g, "S")
+                assert core.receiver_u == oracle.utility_table(g, "R")
 
     def test_each_game_is_compiled_once_per_call(self, monkeypatch):
         compiled = []

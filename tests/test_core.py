@@ -407,6 +407,7 @@ PINNED_RUNS = [
 @pytest.mark.parametrize("command,flag,name", PINNED_RUNS)
 def test_machine_output_is_pinned(command, flag, name, capsys, monkeypatch):
     monkeypatch.chdir(BUNDLED)
-    main([command, flag, name, "--format", "machine"])
-    pinned = PINNED / f"{command}.{name.split('.')[0]}.json"
-    assert capsys.readouterr().out == pinned.read_text()
+    for extra, suffix in (([], ""), (["--off-path", "uniform"], ".uniform")):
+        main([command, flag, name, "--format", "machine", *extra])
+        pinned = PINNED / f"{command}.{name.split('.')[0]}{suffix}.json"
+        assert capsys.readouterr().out == pinned.read_text()

@@ -132,8 +132,20 @@ class TestIsEquilibrium:
                 {"m": {"a": 0.5, "b": 0.5}, "n": {"a": 0.5, "b": 0.5}}
             ),
         )
-        assert not mixed.deterministic
         assert is_equilibrium(g, mixed)
+
+
+class TestUtilityTables:
+    @pytest.mark.parametrize("rule", ["prior", "uniform"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_cells_are_the_games_utilities(self, rule, shared):
+        rng = random.Random(27)
+        for _ in range(30):
+            g = random_valid_game(rng, max_size=3, shared=shared)
+            core = _Compiled(g, rule)
+            assert core.sender_u == oracle.utility_table(g, "S")
+            assert core.receiver_u == oracle.utility_table(g, "R")
+            assert (core.receiver_u is core.sender_u) == shared
 
 
 class TestEnumerate:

@@ -252,6 +252,7 @@ BAD_DISCOURSES = {
     "negative_cb_bonus": lambda d: d["config"].update(cb_bonus=-5),
     "inf_form_cost": lambda d: d["form_costs"].update(proper_name=float("inf")),
     "unknown_boost_form": lambda d: d["config"].update(boosts={"epithet": 2.0}),
+    "misspelled_config_key": lambda d: d["config"].update(parallelism=5.0),
     "unknown_realization_form": lambda d: d["utterances"][0]["realizations"][0].update(
         form="epithet"
     ),
@@ -322,6 +323,7 @@ WRONG_TYPES = [
     ("fig2.game", ("prior",), {"fred": "0.6", "max": True}, "prior['fred']"),
     ("fig2.game", ("prior", "max"), True, "prior['max']"),
     ("fig2.game", ("success_bonus",), {"receiver": "1"}, "success_bonus: receiver"),
+    ("fig2.game", ("success_bonus",), {"sender": 1, "reciever": 3}, "success_bonus"),
     ("fig2.game", ("exclude",), ["ab"], "exclude[0]"),
     ("fig2.game", ("exclude",), [["fred", "he"], ["max", 1]], "exclude[1]"),
     ("fig2.game", ("contents", 0, "id"), None, "contents[0]: id"),
