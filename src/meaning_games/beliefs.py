@@ -15,11 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Mapping
 
 from .errors import InvalidGameError
 from .equilibrium import OffPathRule, _Compiled
-from .game import MeaningGame, Prior, ReceiverStrategy, SenderStrategy
+from .game import TOL, MeaningGame, Prior, ReceiverStrategy, SenderStrategy
 
 
 MAX_DEPTH = 1000
@@ -35,20 +35,53 @@ class LevelKConfig:
             raise InvalidGameError(f"depth must lie in 0..{MAX_DEPTH}")
 
 
-def _level0_sender_map(g: MeaningGame) -> dict[str, str]:
+def _choose(ids, options: list[int], values: list[float]) -> str:
+    """The id of the option of highest value.  Values within TOL of the best
+    tie, as in the search's best-reply sets, and the least id wins a tie."""
+    best = max(values) - TOL
+    return min(ids[o] for o, v in zip(options, values) if v >= best)
+
+
+def _level0_sender_map(core: _Compiled) -> dict[str, str]:
+    """Each content's cheapest grammatical message, by the game's cost table."""
+    cost, mids = core.game.utility.sender_cost, core.mids
+    return {
+        cid: _choose(mids, options, [-cost[(cid, mids[m])] for m in options])
+        for cid, options in zip(core.cids, core.messages_of)
+    }
+
+
+def _level0_receiver_map(core: _Compiled) -> dict[str, str]:
+    """Each used message's most probable grammatical reading."""
     out = {}
-    for c in g.content_ids():
-        options = g.messages_for(c)
-        out[c] = min(options, key=lambda m: (g.utility.sender_cost[(c, m)], m))
+    for m in core.used:
+        readings = core.contents_of[m]
+        out[core.mids[m]] = _choose(core.cids, readings, [core.prior[a] for a in readings])
     return out
 
 
-def _level0_receiver_map(g: MeaningGame) -> dict[str, str]:
+def sender_best_reply(core: _Compiled, rmap: Mapping[str, str]) -> dict[str, str]:
+    """Per content, the best grammatical message against a pure receiver.
+    A message the receiver leaves unmapped, or maps to a reading that is
+    unknown or ungrammatical here, is worth 0."""
+    reading = [core.c_index.get(rmap.get(mid)) for mid in core.mids]
     out = {}
-    for m in g.message_ids():
-        options = g.contents_for(m)
-        if options:
-            out[m] = min(options, key=lambda c: (-g.prior[c], c))
+    for cid, options, row in zip(core.cids, core.messages_of, core.sender_u):
+        values = [None if reading[m] is None else row[m][reading[m]] for m in options]
+        out[cid] = _choose(core.mids, options, [0.0 if v is None else v for v in values])
+    return out
+
+
+def receiver_best_reply(core: _Compiled, smap: Mapping[str, str]) -> dict[str, str]:
+    """Per used message, the best reading against Bayes beliefs about a
+    pure sender."""
+    sent = [smap.get(cid) for cid in core.cids]
+    out = {}
+    for m in core.used:
+        mid, readings = core.mids[m], core.contents_of[m]
+        preimage = tuple(c for c in readings if core.prior[c] > 0.0 and sent[c] == mid)
+        values = core.receiver_values(m, core.bayes_row(m, preimage))
+        out[mid] = _choose(core.cids, readings, values)
     return out
 
 
@@ -95,14 +128,13 @@ def level_k_strategies(
 
     sender_core = _Compiled(g_sender, cfg.off_path)
     receiver_core = _Compiled(g_receiver, cfg.off_path)
-    levels = [(_level0_sender_map(g_sender), _level0_receiver_map(g_receiver))]
+    # The two estimates may number their ids differently, so the levels
+    # pass string-keyed maps between them.
+    levels = [(_level0_sender_map(sender_core), _level0_receiver_map(receiver_core))]
     for _ in range(cfg.depth):
         prev_s, prev_r = levels[-1]
         levels.append(
-            (
-                sender_core.sender_best_reply(prev_r),
-                receiver_core.receiver_best_reply(prev_s),
-            )
+            (sender_best_reply(sender_core, prev_r), receiver_best_reply(receiver_core, prev_s))
         )
 
     # Each level is a function of the one before it, so the first repeated
@@ -163,21 +195,21 @@ def _evaluate_node(node: BeliefNode, memo: dict[int, _Implied]) -> _Implied:
     evaluated in this check, keyed by identity, so each is solved once."""
     if id(node) in memo:
         return memo[id(node)]
-    g = node.game_estimate
     for child in node.children:
         if child.role == node.role:
             raise InvalidGameError("belief tree must alternate viewpoints")
 
+    core = _Compiled(node.game_estimate, "prior")
     if node.role == "S":
-        receiver = _level0_receiver_map(g)
+        receiver = _level0_receiver_map(core)
         for child in node.children:
             receiver[child.anchor] = _evaluate_node(child, memo).receiver[child.anchor]
-        implied = _Implied(_Compiled(g, "prior").sender_best_reply(receiver), receiver)
+        implied = _Implied(sender_best_reply(core, receiver), receiver)
     else:
-        sender = _level0_sender_map(g)
+        sender = _level0_sender_map(core)
         for child in node.children:
             sender[child.anchor] = _evaluate_node(child, memo).sender[child.anchor]
-        implied = _Implied(sender, _Compiled(g, "prior").receiver_best_reply(sender))
+        implied = _Implied(sender, receiver_best_reply(core, sender))
     memo[id(node)] = implied
     return implied
 

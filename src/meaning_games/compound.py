@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 from typing import Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
@@ -34,7 +34,6 @@ from .equilibrium import (
     Profile,
     _Compiled,
     _capped,
-    _prediction,
     # Bound here for the benchmark's tracer, which wraps ``compound.predict``;
     # constituents are solved on the compound's own views.
     predict,  # noqa: F401
@@ -145,6 +144,8 @@ def flatten(cg: CompoundGame, cap: int | None = None) -> Flattened:
         )
     if any(c.weight <= 0 for c in cg.constituents):
         raise InvalidGameError("constituent weights must be positive")
+    if not all(isfinite(c.weight) for c in cg.constituents):
+        raise InvalidGameError("constituent weights must be finite")
     for c in cg.constituents:
         for cid in c.game.content_ids() + c.game.message_ids():
             if JOINER in cid:
@@ -507,8 +508,7 @@ def predict_compound(
     flat = flatten(cg, cap)
     core = _Composite(flat, rule)
     front = core.pareto(_capped(core, cap).search())
-    survivors = core.reports(front, composite_belief_builder(flat, rule, _core=core))
-    prediction = _prediction(flat.game, survivors)
+    prediction = core.prediction(front, composite_belief_builder(flat, rule, _core=core))
 
     # Each constituent's own Pareto-optimal equilibria, from its view in
     # ``core``: the utility tables ``induced_eus`` reads are built once.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from math import prod
+from math import inf, isfinite, prod
 from typing import Callable, Mapping
 
 from .errors import InvalidGameError, NotApplicableError, SizeLimitError
@@ -145,19 +145,29 @@ class _Compiled:
         messages_of = [[] for _ in cids]
         sender_cost = [[None] * len(mids) for _ in cids]
         receiver_cost = [[None] * len(mids) for _ in cids]
+        # A game built in code may skip ``validate_game``: refuse bad numbers.
         for cid, mid in g.edges:
             if cid in c_index and mid in m_index:
                 c, m = c_index[cid], m_index[mid]
                 messages_of[c].append(m)
-                sender_cost[c][m] = u.sender_cost[(cid, mid)]
-                receiver_cost[c][m] = u.receiver_cost[(mid, cid)]
+                sc = sender_cost[c][m] = u.sender_cost[(cid, mid)]
+                rc = receiver_cost[c][m] = u.receiver_cost[(mid, cid)]
+                if not (isfinite(sc) and isfinite(rc)):
+                    raise InvalidGameError(f"a cost of ({cid!r}, {mid!r}) is not finite")
         for options in messages_of:
             options.sort()
-        bonuses, overlap = None, u.bonus_overlap
+        hit, bonuses, overlap = (u.sender_bonus, u.receiver_bonus), None, u.bonus_overlap
         if overlap is not None:
             bonuses = [[overlap.get((cid, x), (0.0, 0.0)) for x in cids] for cid in cids]
-        cells = (sender_cost, receiver_cost, (u.sender_bonus, u.receiver_bonus), bonuses)
-        self._set_parts(cids, mids, [g.prior[c] for c in cids], messages_of, rule, u.shared, cells)
+        flat = itertools.chain.from_iterable
+        if not all(map(isfinite, hit if bonuses is None else flat(flat(bonuses)))):
+            raise InvalidGameError("a success bonus is not finite")
+        prior = [g.prior[c] for c in cids]
+        for cid, p in zip(cids, prior):
+            if not 0.0 <= p < inf:
+                raise InvalidGameError(f"prior weight {p!r} of {cid!r} is negative or not finite")
+        cells = (sender_cost, receiver_cost, hit, bonuses)
+        self._set_parts(cids, mids, prior, messages_of, rule, u.shared, cells)
 
     def _set_parts(
         self, cids, mids, prior: list[float], messages_of: list[list[int]], rule, shared, cells
@@ -269,42 +279,6 @@ class _Compiled:
         values = self.receiver_values(m, row)
         best = max(values)
         return {a for a, v in zip(self.contents_of[m], values) if v >= best - TOL}
-
-    # -- best replies with lexicographic tie-breaking ----------------------
-
-    def sender_best_reply(self, rmap: Mapping[str, str]) -> dict[str, str]:
-        """Per content, the best grammatical message against a pure receiver,
-        ties broken by lexicographic message id.  A message the receiver
-        leaves unmapped, or maps to a reading that is unknown or ungrammatical
-        here, is worth 0."""
-        out = {}
-        for c, cid in enumerate(self.cids):
-            values = {}
-            for m in self.messages_of[c]:
-                a = self.c_index.get(rmap.get(self.mids[m]))
-                u = None if a is None else self.sender_u[c][m][a]
-                values[m] = 0.0 if u is None else u
-            best = min(values, key=lambda m: (-values[m], self.mids[m]))
-            out[cid] = self.mids[best]
-        return out
-
-    def receiver_best_reply(self, smap: Mapping[str, str]) -> dict[str, str]:
-        """Per message, the best reading against Bayes beliefs about a pure
-        sender, ties broken by lexicographic content id."""
-        sent = [smap.get(cid) for cid in self.cids]
-        out = {}
-        for m in self.used:
-            mid = self.mids[m]
-            preimage = tuple(
-                c for c in self.contents_of[m] if self.prior[c] > 0.0 and sent[c] == mid
-            )
-            values = self.receiver_values(m, self.bayes_row(m, preimage))
-            best = min(
-                range(len(values)),
-                key=lambda i: (-values[i], self.cids[self.contents_of[m][i]]),
-            )
-            out[mid] = self.cids[self.contents_of[m][best]]
-        return out
 
     # -- search ------------------------------------------------------------
 
@@ -469,6 +443,24 @@ class _Compiled:
         if beliefs is None:
             beliefs = partial(posterior_beliefs, self.game, rule=self.rule)
         return [self.report(s, r, beliefs) for s, r in pairs]
+
+    def prediction(
+        self,
+        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
+        beliefs: BeliefBuilder | None = None,
+    ) -> Prediction:
+        """The prediction made by the Pareto-optimal profiles ``pairs``:
+        their reports, and each distinct reading of the messages sent on
+        the prior's support, as sorted id pairs in order of appearance."""
+        cids, mids, used = self.cids, self.mids, self.used
+        maps = []
+        for s, r in pairs:
+            reading = dict(zip(used, r))
+            sent = {s[c] for c in self.support}
+            interp = tuple(sorted((mids[m], cids[reading[m]]) for m in sent))
+            if interp not in maps:
+                maps.append(interp)
+        return Prediction(tuple(self.reports(pairs, beliefs)), len(maps) > 1, tuple(maps))
 
     def report(
         self, s: tuple[int, ...], r: tuple[int, ...], beliefs: BeliefBuilder
@@ -652,17 +644,6 @@ def pareto_filter(reports: list[EquilibriumReport]) -> list[EquilibriumReport]:
     return [r for r, keep in zip(reports, front) if keep]
 
 
-def _on_path_interpretation(
-    g: MeaningGame, report: EquilibriumReport
-) -> tuple[tuple[str, str], ...]:
-    smap = report.sender_map()
-    on_path = {
-        smap[c] for c in g.content_ids() if g.prior[c] > 0.0
-    }
-    rmap = report.receiver_map()
-    return tuple(sorted((m, rmap[m]) for m in on_path))
-
-
 @dataclass(frozen=True)
 class Prediction:
     """Pareto-optimal equilibria of a game, with ambiguity made explicit.
@@ -689,45 +670,24 @@ class Prediction:
         return {rmap[mid] for rmap in maps if mid in rmap}
 
 
-def _prediction(g: MeaningGame, reports: list[EquilibriumReport]) -> Prediction:
-    """The prediction made by the Pareto-optimal equilibria ``reports``."""
-    maps = []
-    for r in reports:
-        interp = _on_path_interpretation(g, r)
-        if interp not in maps:
-            maps.append(interp)
-    return Prediction(tuple(reports), len(maps) > 1, tuple(maps))
-
-
 def predict(
     g: MeaningGame, rule: OffPathRule = "prior", cap: int | None = None
 ) -> Prediction:
     """Pareto filter over the pure equilibria; ties all returned.  Only
     the survivors' reports are built."""
     core = _Compiled(g, rule)
-    return _prediction(g, core.reports(core.pareto(_capped(core, cap).search())))
+    return core.prediction(core.pareto(_capped(core, cap).search()))
 
 
-def _pareto_readings(
-    g: MeaningGame, rule: OffPathRule, cap: int | None, mid: str
-) -> set[str]:
-    """``predict(g, rule, cap).readings_of(mid)``, read off the Pareto
-    survivors' index pairs without building their reports."""
-    core = _Compiled(g, rule)
-    return _view_readings(core, cap, core.m_index.get(mid))
-
-
-def _view_readings(core: _Compiled, cap: int | None, m: int | None) -> set[str]:
+def _view_readings(core: _Compiled, cap: int | None, m: int) -> set[str]:
     """The readings the Pareto-optimal pure equilibria of the view ``core``
-    give message ``m`` (None if unknown), once the cap admits the view.  In
-    a common-interest game whose every content has a message, the profile
-    of highest expected utility (with best replies off the path) is a
-    Pareto-optimal equilibrium, so a message with one reading is read that
-    way: no search is needed."""
+    give message ``m``, which some content can send, once the cap admits
+    the view.  In a common-interest game whose every content has a
+    message, the profile of highest expected utility (with best replies off
+    the path) is a Pareto-optimal equilibrium, so a message with one
+    reading is read that way: no search is needed."""
     _capped(core, cap)
-    readings = () if m is None else core.contents_of[m]
-    if not readings:  # unknown, or no content may send it
-        return set()
+    readings = core.contents_of[m]
     if core.shared and len(readings) == 1 and all(core.messages_of):
         return {core.cids[readings[0]]}
     i = core.used.index(m)

@@ -65,10 +65,12 @@ class Prior:
 
 
 def _normalized(weights: Collection[float]) -> list[float]:
-    """The weights divided by their total, which must be positive."""
+    """The weights divided by their total, which must be positive and finite."""
     total = sum(weights)
     if total <= 0:
         raise InvalidGameError("prior weights must have positive total mass")
+    if not math.isfinite(total):
+        raise InvalidGameError(f"prior weights have a total of {total!r}, which is not finite")
     return [w / total for w in weights]
 
 

@@ -115,6 +115,27 @@ class TestLevelK:
         with pytest.raises(InvalidGameError):
             result.fixed_profile()
 
+    def test_ties_within_tol_go_to_the_first_id_however_the_game_is_listed(self):
+        # Against the level-0 sender, who sends m0 for everything, readings
+        # c0 and c1 are both worth 0.125 / 3, but the three terms summed in
+        # the reverse order differ in the last bit.
+        g = MeaningGame(
+            (Content("c0"), Content("c1"), Content("c2")),
+            (Message("m0"),),
+            Prior({"c0": 1 / 3, "c1": 1 / 3, "c2": 1 / 3}),
+            UtilityModel(
+                0.5,
+                0.5,
+                {("c0", "m0"): 0.0, ("c1", "m0"): 0.25, ("c2", "m0"): 0.5},
+                {("m0", "c0"): 0.0, ("m0", "c1"): 0.0, ("m0", "c2"): 0.5},
+                shared=True,
+            ),
+        )
+        reverse = replace(g, contents=g.contents[::-1], messages=g.messages[::-1])
+        result = level_k_strategies(g, g, LevelKConfig(depth=3))
+        assert level_k_strategies(reverse, reverse, LevelKConfig(depth=3)) == result
+        assert top_map(result.levels[1][1]) == {"m0": "c0"}
+
     def test_mismatched_alphabets_rejected(self):
         g = pronoun_game()
         other = message_cost_game({"a": 1.0}, {"m": 0.0}, 1.0)

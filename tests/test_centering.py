@@ -27,6 +27,7 @@ from meaning_games import (
     cf,
     cp,
     ingest,
+    predict,
     resolve,
     rule1_check,
     salience_priors,
@@ -617,23 +618,16 @@ def route_readings(state, slot, entities, config):
 
 
 def game_path_readings(state, slot, entities, config):
-    """The readings of the slot's ``MeaningGame``: through
-    ``_pareto_readings``, and through the public prediction."""
-    from meaning_games.equilibrium import _pareto_readings, predict
-
+    """The readings the public prediction of the slot's ``MeaningGame``
+    gives the used expression."""
     g = build_np_game(state, slot, entities, config)
-    rule, cap = config.off_path, config.cap
-    return (
-        _pareto_readings(g, rule, cap, slot.surface),
-        predict(g, rule, cap).readings_of(slot.surface),
-    )
+    return predict(g, config.off_path, config.cap).readings_of(slot.surface)
 
 
 class TestParetoReadings:
     """The NP route compiles each slot's game straight from the slot; its
-    readings must be those of the slot's ``MeaningGame`` under
-    ``_pareto_readings`` and under the public prediction, on every slot
-    resolved, under both off-path rules."""
+    readings must be those of the public prediction of the slot's
+    ``MeaningGame``, on every slot resolved, under both off-path rules."""
 
     def discourses(self, he_man_path, man_him_path):
         from meaning_games import load_discourse
@@ -666,14 +660,12 @@ class TestParetoReadings:
         for state, slot, entities, config in routed:
             assert config.off_path == rule
             readings = route_readings(state, slot, entities, config)
-            by_game, predicted = game_path_readings(state, slot, entities, config)
-            assert readings == by_game == predicted
+            predicted = game_path_readings(state, slot, entities, config)
+            assert readings == predicted
             tied += len(predicted) > 1
         assert tied > 0
 
     def test_message_without_edges_has_no_reading(self):
-        from meaning_games.equilibrium import _pareto_readings, predict
-
         config = ResolutionConfig()
         state = DiscourseState.initial(["fred", "max"], config)
         slot = man_slot("s", GrammaticalFunction.SUBJECT, "he")
@@ -682,7 +674,6 @@ class TestParetoReadings:
         g = build_np_game(state, slot, MALE_ENTITIES, config)
         assert g.contents_for("she") == ()
         for mid in ("she", "nobody"):
-            assert _pareto_readings(g, "prior", None, mid) == set()
             assert predict(g).readings_of(mid) == set()
 
 
@@ -720,8 +711,7 @@ class TestDirectNpRoute:
             zeroed = replace(state, salience={**state.salience, slot.candidates[0]: 0.0})
             for start in (state, zeroed):
                 readings = route_readings(start, slot, entities, config)
-                by_game = game_path_readings(start, slot, entities, config)
-                assert [readings] * 2 == list(by_game)
+                assert readings == game_path_readings(start, slot, entities, config)
 
     def test_tables_equal_those_of_the_slots_game(self):
         from meaning_games import centering
@@ -831,8 +821,6 @@ class TestDirectNpRoute:
 
     @pytest.mark.parametrize("case", list(ERRORS))
     def test_error_parity(self, case):
-        from meaning_games.equilibrium import _pareto_readings
-
         slot_changes, config_changes, drop_max, error, text = self.ERRORS[case]
         slot = replace(man_slot("s", GrammaticalFunction.SUBJECT, "he"), **slot_changes)
         config = ResolutionConfig()
@@ -844,10 +832,7 @@ class TestDirectNpRoute:
             del state.salience["max"]
         paths = [
             lambda: _resolve_slot_by_game(state, slot, self.ENTITIES, config, 2),
-            lambda: _pareto_readings(
-                build_np_game(state, slot, self.ENTITIES, config),
-                config.off_path, config.cap, slot.surface,
-            ),
+            lambda: game_path_readings(state, slot, self.ENTITIES, config),
         ]
         if not drop_max:  # every entity of a discourse has a salience
             u2 = Utterance(2, (slot,))

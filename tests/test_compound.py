@@ -127,6 +127,16 @@ class TestFlatten:
         with pytest.raises(NotApplicableError):
             flatten(cg)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        cg = random_compound(random.Random(6), constrained=False)
+        cg = replace(
+            cg, constituents=(replace(cg.constituents[0], weight=weight),) + cg.constituents[1:]
+        )
+        for solve in (flatten, predict_compound):
+            with pytest.raises(InvalidGameError, match="constituent weights must be finite"):
+                solve(cg)
+
     def test_cap_enforced(self):
         rng = random.Random(4)
         cg = random_compound(rng, constrained=False)

@@ -25,6 +25,7 @@ from meaning_games import (
     Content,
     MeaningGame,
     Message,
+    Prediction,
     Prior,
     SizeLimitError,
     UtilityModel,
@@ -37,7 +38,6 @@ from meaning_games import (
 )
 from meaning_games.cli import main
 from meaning_games.compound import enumerate_compound, predict_compound
-from meaning_games.equilibrium import _prediction
 from meaning_games.game import TOL
 
 BUNDLED = Path(__file__).parent.parent / "src" / "meaning_games" / "data"
@@ -336,12 +336,27 @@ def test_predict_compound_matches_oracle(rule):
         assert survivors == oracle.pareto_maps(g, equilibria)
 
 
+def reference_prediction(g, reports) -> Prediction:
+    """The prediction of the Pareto-optimal ``reports``, with each distinct
+    interpretation read back off a report's maps: the messages its sender
+    sends on the prior's support, with the readings its receiver gives
+    them, sorted."""
+    maps = []
+    for r in reports:
+        smap, rmap = r.sender_map(), r.receiver_map()
+        on_path = {smap[c] for c in g.content_ids() if g.prior[c] > 0.0}
+        interp = tuple(sorted((m, rmap[m]) for m in on_path))
+        if interp not in maps:
+            maps.append(interp)
+    return Prediction(tuple(reports), len(maps) > 1, tuple(maps))
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_predict_equals_the_filtered_enumeration(rule):
     # Ties nudged within the tolerance make dominance non-transitive, so the
     # filter on payoff pairs must check every pair against every other.
     for g in generated_games(60, 4242):
-        expected = _prediction(g, pareto_filter(enumerate_pure_equilibria(g, rule)))
+        expected = reference_prediction(g, pareto_filter(enumerate_pure_equilibria(g, rule)))
         assert repr(predict(g, rule)) == repr(expected)
 
 
@@ -351,7 +366,9 @@ def test_predict_compound_equals_the_filtered_enumeration(rule):
     for i in range(20):
         cg = random_compound(rng, constrained=bool(i % 2))
         flat = flatten(cg)
-        expected = _prediction(flat.game, pareto_filter(enumerate_compound(flat, rule)))
+        expected = reference_prediction(
+            flat.game, pareto_filter(enumerate_compound(flat, rule))
+        )
         assert repr(predict_compound(cg, rule).prediction) == repr(expected)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from meaning_games import (
     enumerate_pure_equilibria,
     explain_two_by_two,
     is_equilibrium,
+    level_k_strategies,
     pareto_filter,
     posterior_beliefs,
     predict,
@@ -321,6 +323,63 @@ class TestCommonInterestFront:
                 rmap = {core.mids[m]: core.cids[a] for m, a in zip(core.used, r)}
                 _, eu_sender, eu_receiver = core.payoffs(s, r)
                 assert eu_sender == eu_receiver == oracle.expected_utility(g, smap, rmap, "R")
+
+
+def with_costs(g, cost):
+    u = g.utility
+    return replace(
+        g,
+        utility=replace(
+            u,
+            sender_cost=dict.fromkeys(u.sender_cost, cost),
+            receiver_cost=dict.fromkeys(u.receiver_cost, cost),
+        ),
+    )
+
+
+class TestGamesBuiltInCode:
+    """A game built in code need not have passed ``validate_game``: every
+    solver entry refuses the numbers that would make its answer NaN or
+    meaningless, instead of answering."""
+
+    MATCHED = Profile.from_maps(
+        {"fred": "he", "max": "the man"}, {"he": "fred", "the man": "max"}
+    )
+    SOLVERS = {
+        "predict": predict,
+        "enumerate": enumerate_pure_equilibria,
+        "is_equilibrium": lambda g: is_equilibrium(g, TestGamesBuiltInCode.MATCHED),
+        "level_k": lambda g: level_k_strategies(g, g),
+    }
+
+    def refused(self, solve, g, text):
+        with pytest.raises(InvalidGameError, match=text):
+            self.SOLVERS[solve](g)
+
+    @pytest.mark.parametrize("solve", list(SOLVERS))
+    def test_nan_prior_weight(self, solve):
+        g = replace(pronoun_game(), prior=Prior({"fred": math.nan, "max": 0.4}))
+        self.refused(solve, g, "prior weight nan of 'fred' is negative or not finite")
+
+    @pytest.mark.parametrize("solve", list(SOLVERS))
+    def test_negative_prior_weight(self, solve):
+        g = replace(pronoun_game(), prior=Prior({"fred": -0.5, "max": 1.5}))
+        self.refused(solve, g, "prior weight -0.5 of 'fred' is negative or not finite")
+
+    @pytest.mark.parametrize("solve", list(SOLVERS))
+    def test_nan_cost(self, solve):
+        self.refused(solve, with_costs(pronoun_game(), math.nan), "a cost of .* is not finite")
+
+    @pytest.mark.parametrize("solve", list(SOLVERS))
+    def test_infinite_success_bonus(self, solve):
+        self.refused(solve, pronoun_game(bonus=math.inf), "a success bonus is not finite")
+
+    def test_infinite_overlap_bonus(self):
+        g, ids = pronoun_game(), ("fred", "max")
+        overlap = {(a, b): (float(a == b), float(a == b)) for a in ids for b in ids}
+        overlap[("max", "fred")] = (0.0, math.inf)
+        g = replace(g, utility=replace(g.utility, bonus_overlap=overlap))
+        self.refused("predict", g, "a success bonus is not finite")
 
 
 class TestPredict:

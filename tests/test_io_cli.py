@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from meaning_games import (
+    InvalidGameError,
     ScenarioError,
     load_discourse,
     load_game,
     parse_discourse,
     parse_game,
+    resolve,
     serialize_game,
     validate_game,
 )
@@ -811,6 +813,36 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["unresolved_slots"] == ["u2_subj", "u2_obj"]
+
+    def test_validate_game(self, fig2_path, tmp_path, capsys):
+        game = json.loads(fig2_path.read_text())
+        game["success_bonus"] = 0.2  # below the cost spread of 0.5
+        path = tmp_path / "weak_bonus.game"
+        path.write_text(json.dumps(game))
+        code = main(["validate", "--game", str(path), "--format", "machine"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["target"] == str(path)
+        assert payload["errors"] == []
+        assert payload["warnings"] == list(validate_game(load_game(path)).warnings)
+        assert len(payload["warnings"]) == 2  # one per player
+
+    def test_salience_overflow_is_refused(self, he_man_path, tmp_path, capsys):
+        # Each "he" multiplies its referent's salience by the pronoun boost:
+        # at 1e200 Fred's overflows to inf, and the next slot's prior with it.
+        discourse = json.loads(he_man_path.read_text())
+        discourse["config"]["boosts"]["pronoun"] = 1e200
+        he = discourse["utterances"][1]["realizations"][0]
+        discourse["utterances"][1:] = [
+            {"text": "He left.", "realizations": [dict(he, slot=f"u{i}_subj")]}
+            for i in range(2, 6)
+        ]
+        path = tmp_path / "overflow.disc"
+        path.write_text(json.dumps(discourse))
+        with pytest.raises(InvalidGameError, match="prior weights have a total of inf"):
+            resolve(load_discourse(path))
+        assert main(["resolve", "--discourse", str(path)]) == 1
+        assert "not finite" in capsys.readouterr().err
 
     def test_table_output_skips_the_machine_rendering(
         self, fig2_path, monkeypatch, capsys
